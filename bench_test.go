@@ -27,7 +27,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	var r *experiments.Result
 	for i := 0; i < b.N; i++ {
-		r = run()
+		r = run(experiments.Options{Seed: 1})
 	}
 	for _, row := range r.Rows {
 		if !row.Match {

@@ -1,5 +1,5 @@
 // Command tgbench regenerates every table and figure of the paper's
-// evaluation (plus the protocol-claim experiments E4–E15) and prints a
+// evaluation (plus the protocol-claim experiments E4–E16) and prints a
 // paper-vs-measured comparison for each. See DESIGN.md for the
 // experiment index and EXPERIMENTS.md for recorded results.
 //
@@ -10,7 +10,6 @@
 //	tgbench -json                    # machine-readable results
 //	tgbench -list                    # list experiment ids and titles
 //	tgbench -shards 4                # run the suite on 4 simulation shards
-//	tgbench -permsg                  # legacy per-message barrier delivery
 //	tgbench -pdes -out BENCH.json    # PDES node×shard scaling sweep
 //	                                 # (also records BENCH.floor, the CI
 //	                                 # throughput gate scripts/check.sh uses)
@@ -38,12 +37,11 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "run a single experiment (E1..E15)")
+	exp := flag.String("exp", "", "run a single experiment (E1..E16)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	asJSON := flag.Bool("json", false, "emit results as JSON")
 	seed := flag.Int64("seed", 1, "deterministic base seed (same seed → bit-identical output)")
 	shards := flag.Int("shards", 1, "simulation shards (results are invariant to this; only wall time changes)")
-	perMsg := flag.Bool("permsg", false, "legacy per-message barrier delivery instead of batched hand-off (results are invariant; only wall time changes)")
 	pdes := flag.Bool("pdes", false, "run the PDES node×shard scaling sweep instead of the experiments")
 	collScale := flag.Bool("collscale", false, "run the paper-scale E15 barrier sweep (host-side vs in-fabric, 64-1024 nodes) instead of the experiments")
 	topo := flag.Bool("topo", false, "run the E16 topology-zoo sweep (fabrics × 16/64/256 nodes × 1/4 cores) instead of the experiments")
@@ -51,13 +49,10 @@ func main() {
 	traceWindow := flag.Int("trace-window", 0, "with -pdes: attach the streaming trace pipeline with this per-node ring capacity (0 = untraced); the report then includes the shard-invariant fingerprint and peak trace residency")
 	flag.Parse()
 
-	experiments.SetSeed(*seed)
-	experiments.SetShards(*shards)
-	experiments.SetPerMessageDelivery(*perMsg)
-	experiments.SetTraceWindow(*traceWindow)
+	opts := experiments.Options{Seed: *seed, Shards: *shards, TraceWindow: *traceWindow}
 
 	if *collScale {
-		host, fabric := experiments.E15Scale([]int{64, 128, 256, 512, 1024}, 1)
+		host, fabric := experiments.E15Scale(opts, []int{64, 128, 256, 512, 1024}, 1)
 		fmt.Print(host.Format())
 		fmt.Print(fabric.Format())
 		return
@@ -65,6 +60,7 @@ func main() {
 
 	if *topo {
 		points := experiments.E16Sweep(
+			opts,
 			experiments.E16Topos,
 			[]int{16, 64, 256},
 			[]int{1, 4},
@@ -92,6 +88,7 @@ func main() {
 
 	if *pdes {
 		rep := experiments.PDESSweep(
+			opts,
 			[]int{8, 16, 32, 64},
 			[]int{1, 2, 4, 8},
 			experiments.PDESOps,
@@ -124,7 +121,7 @@ func main() {
 
 	if *list {
 		for _, id := range experiments.IDs() {
-			r := experiments.Get(id)()
+			r := experiments.Get(id)(opts)
 			fmt.Printf("%-4s %s [%s]\n", r.ID, r.Title, r.Artifact)
 		}
 		return
@@ -137,9 +134,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tgbench: unknown experiment %q (try -list)\n", *exp)
 			os.Exit(2)
 		}
-		results = append(results, run())
+		results = append(results, run(opts))
 	} else {
-		results = experiments.RunAll()
+		results = experiments.RunAll(opts)
 	}
 
 	if *asJSON {

@@ -316,9 +316,6 @@ func (m *UpdateMgr) ownerSerialize(p *sim.Proc, pkt *packet.Packet, ack bool) bo
 	return true
 }
 
-// debugReflect, when set by tests, observes every reflection decision.
-var debugReflect func(m *UpdateMgr, pkt *packet.Packet, own bool)
-
 // applyReflected implements rules 2 and 3 at a replica: a reflection of
 // our own write decrements the counter and is ignored; any other
 // reflection is ignored while our counter is non-zero, applied otherwise.
@@ -343,9 +340,6 @@ func (m *UpdateMgr) applyReflected(p *sim.Proc, pkt *packet.Packet) bool {
 	}
 	p.Sleep(m.h.Timing().MPMWrite)
 	own := pkt.Origin == m.node
-	if debugReflect != nil {
-		debugReflect(m, pkt, own)
-	}
 	switch {
 	case m.u.mode == CountersOff:
 		// Telegraphos I: apply unconditionally.

@@ -18,7 +18,7 @@ import (
 // depends on ([16, 17]): lossless back-pressured delivery, in-order per
 // source-destination pair, and the latency/throughput curve under
 // uniform random traffic on an 8-port star.
-func E13SwitchLoad() *Result {
+func E13SwitchLoad(o Options) *Result {
 	latSeries := stats.Series{Name: "E13: mean packet latency vs offered load", XLabel: "offered_load", YLabel: "latency_us"}
 	thrSeries := stats.Series{Name: "E13: delivered/offered vs offered load", XLabel: "offered_load", YLabel: "delivered_fraction"}
 
@@ -30,7 +30,7 @@ func E13SwitchLoad() *Result {
 	var latLow, latHigh float64
 	loads := []float64{0.1, 0.3, 0.5, 0.7, 0.9, 1.1}
 	for _, load := range loads {
-		eng := sim.NewEngine(41 + baseSeed)
+		eng := sim.NewEngine(41 + o.Seed)
 		net := topology.BuildStar(eng, nodes, params.DefaultLink(), switchfab.Config{RouteDelay: 100})
 		gap := sim.Time(float64(wirePerPkt) / load)
 
@@ -122,8 +122,8 @@ func E13SwitchLoad() *Result {
 // operation: the Telegraphos II user-level sequence — uncached stores
 // into a context, a shadow store, a trigger read (§2.2.4) — against the
 // "simplest way": trapping into the operating system (§2.2.5).
-func E14LaunchCost() *Result {
-	c := lightCluster(2)
+func E14LaunchCost(o Options) *Result {
+	c := lightCluster(o, 2)
 	x := c.AllocShared(1, 8)
 	const ops = 200
 	var userUS, palUS, osUS float64

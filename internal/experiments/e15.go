@@ -6,7 +6,6 @@ import (
 	"telegraphos/internal/collective"
 	"telegraphos/internal/core"
 	"telegraphos/internal/cpu"
-	"telegraphos/internal/params"
 	"telegraphos/internal/sim"
 	"telegraphos/internal/stats"
 	"telegraphos/internal/switchfab"
@@ -15,13 +14,10 @@ import (
 
 // collCluster builds a tree-fabric cluster for the collective
 // experiments; memory is kept small so the big-node sweeps stay cheap.
-func collCluster(n int) *core.Cluster {
-	cfg := params.Default(n)
-	cfg.Seed = baseSeed
+func collCluster(o Options, n int) *core.Cluster {
+	cfg := o.config(n)
 	cfg.Topology = "tree"
 	cfg.Sizing.MemBytes = 1 << 16
-	cfg.Shards = shardCount
-	cfg.PerMessageDelivery = perMessage
 	return core.New(cfg)
 }
 
@@ -29,8 +25,8 @@ func collCluster(n int) *core.Cluster {
 // rounds synchronizations of all n nodes, host-side (the tsync
 // hot-counter barrier) or in-fabric (the switch-resident combining
 // barrier).
-func barrierRoundTime(n, rounds int, fabric bool) sim.Time {
-	c := collCluster(n)
+func barrierRoundTime(o Options, n, rounds int, fabric bool) sim.Time {
+	c := collCluster(o, n)
 	var participant func() interface{ Wait(*cpu.Ctx) }
 	if fabric {
 		b := collective.New(c).NewBarrier()
@@ -56,8 +52,8 @@ func barrierRoundTime(n, rounds int, fabric bool) sim.Time {
 // in-switch combining. It also reports how many requests the fabric
 // merged and the counter's final value — combining must be invisible:
 // the final count equals n*per either way.
-func faaRunTime(n, per int, combine bool) (sim.Time, int64, uint64) {
-	c := collCluster(n)
+func faaRunTime(o Options, n, per int, combine bool) (sim.Time, int64, uint64) {
+	c := collCluster(o, n)
 	if combine {
 		collective.New(c).EnableCombining(switchfab.CombineConfig{})
 	}
@@ -84,12 +80,12 @@ var E15Sizes = []int{8, 16, 32, 64}
 
 // E15Scale sweeps host-side vs in-fabric barrier latency over sizes,
 // returning one series per implementation (mean µs per barrier episode).
-func E15Scale(sizes []int, rounds int) (host, fabric stats.Series) {
+func E15Scale(o Options, sizes []int, rounds int) (host, fabric stats.Series) {
 	host = stats.Series{Name: "E15: host-side barrier latency vs nodes", XLabel: "nodes", YLabel: "latency_us"}
 	fabric = stats.Series{Name: "E15: in-fabric barrier latency vs nodes", XLabel: "nodes", YLabel: "latency_us"}
 	for _, n := range sizes {
-		host.Add(float64(n), barrierRoundTime(n, rounds, false).Micros())
-		fabric.Add(float64(n), barrierRoundTime(n, rounds, true).Micros())
+		host.Add(float64(n), barrierRoundTime(o, n, rounds, false).Micros())
+		fabric.Add(float64(n), barrierRoundTime(o, n, rounds, true).Micros())
 	}
 	return host, fabric
 }
@@ -100,9 +96,9 @@ func E15Scale(sizes []int, rounds int) (host, fabric stats.Series) {
 // — while the hot-counter barrier serializes all N arrivals at one home
 // board, and in-switch combining lifts hot-spot fetch&add throughput the
 // way the NYU Ultracomputer combining network does.
-func E15InFabricCollectives() *Result {
+func E15InFabricCollectives(o Options) *Result {
 	const rounds = 2
-	hostSeries, fabricSeries := E15Scale(E15Sizes, rounds)
+	hostSeries, fabricSeries := E15Scale(o, E15Sizes, rounds)
 
 	lo, hi := 0, len(E15Sizes)-1
 	hostLo, hostHi := hostSeries.Points[lo].Y, hostSeries.Points[hi].Y
@@ -111,8 +107,8 @@ func E15InFabricCollectives() *Result {
 	fabGrowth := fabHi / fabLo
 
 	const faaNodes, faaPer = 64, 4
-	plainT, _, plainFinal := faaRunTime(faaNodes, faaPer, false)
-	combT, merged, combFinal := faaRunTime(faaNodes, faaPer, true)
+	plainT, _, plainFinal := faaRunTime(o, faaNodes, faaPer, false)
+	combT, merged, combFinal := faaRunTime(o, faaNodes, faaPer, true)
 	speedup := plainT.Micros() / combT.Micros()
 	equivalent := plainFinal == faaNodes*faaPer && combFinal == plainFinal
 

@@ -9,7 +9,6 @@ import (
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/core"
 	"telegraphos/internal/cpu"
-	"telegraphos/internal/params"
 	"telegraphos/internal/sim"
 	"telegraphos/internal/stats"
 )
@@ -25,14 +24,11 @@ import (
 // topoCluster builds an n-node cluster of the named fabric with cores
 // CPUs per node. Memory stays small per node (the backing store is
 // lazily chunked, so large machines cost only what they touch).
-func topoCluster(topo string, n, cores int) *core.Cluster {
-	cfg := params.Default(n)
-	cfg.Seed = baseSeed
+func topoCluster(o Options, topo string, n, cores int) *core.Cluster {
+	cfg := o.config(n)
 	cfg.Topology = topo
 	cfg.CoresPerNode = cores
 	cfg.Sizing.MemBytes = 1 << 23 // room for one shared page per node
-	cfg.Shards = shardCount
-	cfg.PerMessageDelivery = perMessage
 	return core.New(cfg)
 }
 
@@ -40,8 +36,8 @@ func topoCluster(topo string, n, cores int) *core.Cluster {
 // node's cores store per words each into the word homed on the node
 // n/2 away (all traffic crosses the bisection) — and returns the
 // completion time.
-func topoPermTime(topo string, n, cores, per int) sim.Time {
-	c := topoCluster(topo, n, cores)
+func topoPermTime(o Options, topo string, n, cores, per int) sim.Time {
+	c := topoCluster(o, topo, n, cores)
 	base := make([]addrspace.VAddr, n)
 	for i := 0; i < n; i++ {
 		base[i] = c.AllocShared(addrspace.NodeID(i), 8)
@@ -64,8 +60,8 @@ func topoPermTime(topo string, n, cores, per int) sim.Time {
 
 // topoReadRTT measures a remote read round trip from node 0 to the node
 // n/2 away, plus the number of switches the request crosses.
-func topoReadRTT(topo string, n int) (sim.Time, int) {
-	c := topoCluster(topo, n, 1)
+func topoReadRTT(o Options, topo string, n int) (sim.Time, int) {
+	c := topoCluster(o, topo, n, 1)
 	far := n / 2
 	va := c.AllocShared(addrspace.NodeID(far), 16)
 	c.Nodes[far].Mem.WriteWord(c.SharedOffset(va), 99)
@@ -104,13 +100,13 @@ var E16Topos = []string{"star", "torus2d", "torus3d", "fattree", "dragonfly", "d
 // E16Sweep measures every (topology, size, cores) cell: read RTT across
 // the machine's half-diameter and adversarial-permutation completion.
 // Reachable through cmd/tgbench -topo (sizes 16/64/256, cores 1/4).
-func E16Sweep(topos []string, sizes, coreCounts []int, per int) []TopoPoint {
+func E16Sweep(o Options, topos []string, sizes, coreCounts []int, per int) []TopoPoint {
 	var out []TopoPoint
 	for _, topo := range topos {
 		for _, n := range sizes {
-			rtt, hops := topoReadRTT(topo, n)
+			rtt, hops := topoReadRTT(o, topo, n)
 			for _, cores := range coreCounts {
-				perm := topoPermTime(topo, n, cores, per)
+				perm := topoPermTime(o, topo, n, cores, per)
 				ops := float64(n * cores * per)
 				out = append(out, TopoPoint{
 					Topo: topo, Nodes: n, Cores: cores, Hops: hops,
@@ -146,31 +142,31 @@ func WriteTopoJSON(w io.Writer, points []TopoPoint) error {
 
 // E16TopologyZoo is the registry-sized run: it checks the structural
 // claims each topology is built on, at sizes small enough for tier-1.
-func E16TopologyZoo() *Result {
+func E16TopologyZoo(o Options) *Result {
 	const per = 4
 
 	// Read latency tracks hop count: the torus diameter grows with
 	// sqrt(N), the fat-tree's path length stays at its fixed up/down
 	// depth.
-	torusRTT16, torusHops16 := topoReadRTT("torus2d", 16)
-	torusRTT64, torusHops64 := topoReadRTT("torus2d", 64)
-	ftRTT16, ftHops16 := topoReadRTT("fattree", 16)
-	ftRTT64, ftHops64 := topoReadRTT("fattree", 64)
+	torusRTT16, torusHops16 := topoReadRTT(o, "torus2d", 16)
+	torusRTT64, torusHops64 := topoReadRTT(o, "torus2d", 64)
+	ftRTT16, ftHops16 := topoReadRTT(o, "fattree", 16)
+	ftRTT64, ftHops64 := topoReadRTT(o, "fattree", 64)
 
 	// Valiant's bet: on the adversarial permutation, minimal dragonfly
 	// routing funnels every packet of a group through one global trunk;
 	// randomized detours spread the load.
-	minT := topoPermTime("dragonfly", 64, 1, per)
-	valT := topoPermTime("dragonfly-val", 64, 1, per)
+	minT := topoPermTime(o, "dragonfly", 64, 1, per)
+	valT := topoPermTime(o, "dragonfly-val", 64, 1, per)
 
 	// One HIB per workstation: four cores sharing the board complete the
 	// same total traffic no faster than one core issuing it alone.
-	oneCore := topoPermTime("torus2d", 16, 1, 4*per)
-	fourCores := topoPermTime("torus2d", 16, 4, per)
+	oneCore := topoPermTime(o, "torus2d", 16, 1, 4*per)
+	fourCores := topoPermTime(o, "torus2d", 16, 4, per)
 
 	series := stats.Series{Name: "E16: permutation time vs topology (64 nodes)", XLabel: "topology_index", YLabel: "time_us"}
 	for i, topo := range E16Topos {
-		series.Add(float64(i), topoPermTime(topo, 64, 1, per).Micros())
+		series.Add(float64(i), topoPermTime(o, topo, 64, 1, per).Micros())
 	}
 
 	return &Result{

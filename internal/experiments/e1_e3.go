@@ -13,20 +13,17 @@ import (
 )
 
 // lightCluster builds a small-memory cluster for experiments.
-func lightCluster(n int) *core.Cluster {
-	cfg := params.Default(n)
-	cfg.Seed = baseSeed
+func lightCluster(o Options, n int) *core.Cluster {
+	cfg := o.config(n)
 	cfg.Sizing.MemBytes = 1 << 21
-	cfg.Shards = shardCount
-	cfg.PerMessageDelivery = perMessage
 	return core.New(cfg)
 }
 
 // E1Latency reproduces the §3.2 latency table: remote write 0.70 µs
 // (long-stream network rate), remote read 7.2 µs, measured over 10,000
 // operations on a two-workstation configuration.
-func E1Latency() *Result {
-	c := lightCluster(2)
+func E1Latency(o Options) *Result {
+	c := lightCluster(o, 2)
 	x := c.AllocShared(1, 4096)
 	const ops = 10000
 	var writeUS, readUS float64
@@ -81,7 +78,7 @@ func E1Latency() *Result {
 // remote writes completes in under 50 µs (< 0.5 µs per write), because
 // the HIB's queue absorbs the burst at CPU issue rate, while long
 // streams settle at the network transfer rate.
-func E2WriteBatch() *Result {
+func E2WriteBatch(o Options) *Result {
 	series := stats.Series{
 		Name:   "E2: per-write latency vs batch size",
 		XLabel: "batch_size",
@@ -89,7 +86,7 @@ func E2WriteBatch() *Result {
 	}
 	var us100 float64
 	for _, batch := range []int{1, 10, 100, 300, 1000, 10000} {
-		c := lightCluster(2)
+		c := lightCluster(o, 2)
 		x := c.AllocShared(1, 8)
 		var perOp float64
 		b := batch
@@ -129,7 +126,7 @@ func E2WriteBatch() *Result {
 // E3GateCount reproduces Table 1: the HIB hardware inventory. Logic
 // constants are the published design values; SRAM sizes are computed
 // from the configured capacities.
-func E3GateCount() *Result {
+func E3GateCount(Options) *Result {
 	sz := params.DefaultSizing()
 	rows := gates.Inventory(sz)
 	shared := gates.SharedMemoryLogic(sz)

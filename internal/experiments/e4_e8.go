@@ -14,10 +14,10 @@ import (
 // multicast writers leave the copies of a page permanently divergent;
 // with the owner-serialized reflected writes of §2.3.1 all copies
 // converge.
-func E4OwnerSerialization() *Result {
+func E4OwnerSerialization(o Options) *Result {
 	// --- Ownerless: raw eager-update multicast, two concurrent writers.
 	divergent := func() bool {
-		c := lightCluster(3)
+		c := lightCluster(o, 3)
 		x := c.AllocShared(0, 8)
 		off := c.SharedOffset(x)
 		pn := addrspace.PageOf(off, c.PageSize())
@@ -45,7 +45,7 @@ func E4OwnerSerialization() *Result {
 
 	// --- Owner-serialized: the §2.3 update protocol, same scenario.
 	converged := func() bool {
-		c := lightCluster(3)
+		c := lightCluster(o, 3)
 		u := coherence.NewUpdate(c, coherence.CountersInfinite)
 		x := c.AllocShared(0, 8)
 		u.SharePage(x, 0, []int{0, 1, 2})
@@ -75,9 +75,9 @@ func E4OwnerSerialization() *Result {
 // E5CounterAnomalies reproduces the §2.3.2 read-own-write anomalies and
 // shows the §2.3.3 pending-write counters eliminate them, in all three
 // counter configurations.
-func E5CounterAnomalies() *Result {
+func E5CounterAnomalies(o Options) *Result {
 	run := func(mode coherence.CounterMode) bool {
-		c := lightCluster(2)
+		c := lightCluster(o, 2)
 		u := coherence.NewUpdate(c, mode)
 		x := c.AllocShared(0, 8)
 		u.SharePage(x, 0, []int{0, 1})
@@ -116,12 +116,12 @@ func E5CounterAnomalies() *Result {
 // E6CounterCacheSweep measures the §2.3.4 claim that a 16–32 entry CAM
 // suffices: a chaotic multi-writer workload is run with CAM sizes 1..64
 // and the stall rate and peak occupancy recorded.
-func E6CounterCacheSweep() *Result {
+func E6CounterCacheSweep(o Options) *Result {
 	occSeries := stats.Series{Name: "E6: counter CAM behaviour vs size", XLabel: "cam_entries", YLabel: "stalls"}
 	occ2 := stats.Series{Name: "E6: peak live counters vs CAM size", XLabel: "cam_entries", YLabel: "max_occupancy"}
 	var stalls16, stalls32 int64
 	for _, size := range []int{1, 2, 4, 8, 16, 32, 64} {
-		c := lightClusterWithCAM(3, size)
+		c := lightClusterWithCAM(o, 3, size)
 		u := coherence.NewUpdate(c, coherence.CountersCached)
 		x := c.AllocShared(0, 4096)
 		u.SharePage(x, 0, []int{0, 1, 2})
@@ -176,9 +176,9 @@ func E6CounterCacheSweep() *Result {
 // replicated data page whose owner is a third node, the consumer can see
 // the flag before the data reflection arrives and read stale data;
 // embedding FENCE in the release (UNLOCK) eliminates the stale read.
-func E7FenceConsistency() *Result {
+func E7FenceConsistency(o Options) *Result {
 	run := func(useFence bool) int {
-		c := lightCluster(3)
+		c := lightCluster(o, 3)
 		u := coherence.NewUpdate(c, coherence.CountersInfinite)
 		data := c.AllocShared(2, 8) // replicated; owner far (node 2)
 		u.SharePage(data, 2, []int{0, 1, 2})
@@ -228,7 +228,7 @@ func E7FenceConsistency() *Result {
 // lets a third processor observe "1, 2, 1" — a sequence invalid under
 // any consistency model — while the Telegraphos owner-based protocol
 // only ever produces valid orders, across a sweep of writer offsets.
-func E8GalacticaAnomaly() *Result {
+func E8GalacticaAnomaly(o Options) *Result {
 	galACount := 0
 	tgACount := 0
 	const sweeps = 7
@@ -236,7 +236,7 @@ func E8GalacticaAnomaly() *Result {
 		d := sim.Time(s) * 500 * sim.Nanosecond
 
 		// Galactica ring: winner (node 1) -> observer (node 0) -> loser (node 2).
-		cg := lightCluster(3)
+		cg := lightCluster(o, 3)
 		g := coherence.NewGalactica(cg)
 		xg := cg.AllocShared(0, 8)
 		g.ShareRing(xg, []int{1, 0, 2})
@@ -250,7 +250,7 @@ func E8GalacticaAnomaly() *Result {
 		}
 
 		// Telegraphos update protocol, same scenario.
-		ct := lightCluster(3)
+		ct := lightCluster(o, 3)
 		u := coherence.NewUpdate(ct, coherence.CountersInfinite)
 		xt := ct.AllocShared(0, 8)
 		u.SharePage(xt, 0, []int{0, 1, 2})

@@ -21,13 +21,10 @@ import (
 )
 
 // lightClusterWithCAM builds a cluster with a specific counter-CAM size.
-func lightClusterWithCAM(n, cam int) *core.Cluster {
-	cfg := params.Default(n)
-	cfg.Seed = baseSeed
+func lightClusterWithCAM(o Options, n, cam int) *core.Cluster {
+	cfg := o.config(n)
 	cfg.Sizing.MemBytes = 1 << 21
 	cfg.Sizing.CounterCacheSize = cam
-	cfg.Shards = shardCount
-	cfg.PerMessageDelivery = perMessage
 	return core.New(cfg)
 }
 
@@ -36,13 +33,13 @@ func lightClusterWithCAM(n, cam int) *core.Cluster {
 // beating both never-replicate and replicate-on-first-touch on a mixed
 // workload where some remote pages are read a few times and others
 // hundreds of times.
-func E9AlarmReplication() *Result {
+func E9AlarmReplication(o Options) *Result {
 	// Workload: node 1 reads 8 remote pages homed on node 0; pages 0-5
 	// are cold (4 reads each), pages 6-7 are hot (150 reads each).
 	reads := []int{4, 4, 4, 4, 4, 4, 150, 150}
 
 	run := func(policy string, threshold uint32) sim.Time {
-		c := lightCluster(2)
+		c := lightCluster(o, 2)
 		ps := c.PageSize()
 		bases := make([]addrspace.VAddr, len(reads))
 		for i := range bases {
@@ -119,18 +116,15 @@ func E9AlarmReplication() *Result {
 
 // E10RemotePaging reproduces the [21] study: paging to a memory server
 // over Telegraphos vs paging to disk, across memory pressures.
-func E10RemotePaging() *Result {
+func E10RemotePaging(o Options) *Result {
 	series := stats.Series{Name: "E10: paging slowdown vs local memory fraction", XLabel: "local_frames", YLabel: "disk_over_remote"}
 	var ratioAt8 float64
 	for _, frames := range []int{4, 8, 16, 24} {
-		refs := paging.GenRefs(10+baseSeed, 300, 32, 0.7, 0.3)
+		refs := paging.GenRefs(10+o.Seed, 300, 32, 0.7, 0.3)
 		run := func(b paging.Backend) sim.Time {
-			cfg := params.Default(2)
-			cfg.Seed = baseSeed
+			cfg := o.config(2)
 			cfg.Sizing.MemBytes = 1 << 21
 			cfg.Sizing.PageSize = 4096
-			cfg.Shards = shardCount
-			cfg.PerMessageDelivery = perMessage
 			c := core.New(cfg)
 			res, err := paging.Run(c, 0, paging.Config{LocalFrames: frames, Backend: b, Server: 1}, refs)
 			if err != nil {
@@ -163,11 +157,11 @@ func E10RemotePaging() *Result {
 // with update coherence, Telegraphos without replication (pure remote
 // reads), the software DSM, user-level channels, and OS-mediated message
 // passing. Who wins, and by what factor, is the paper's whole argument.
-func E11Substrates() *Result {
+func E11Substrates(o Options) *Result {
 	const n, words, iters = 2, 64, 4
 
 	tgUpdate := func() sim.Time {
-		c := lightCluster(n)
+		c := lightCluster(o, n)
 		u := coherence.NewUpdate(c, coherence.CountersInfinite)
 		base := c.AllocShared(0, 8*words)
 		u.SharePage(base, 0, []int{0, 1})
@@ -184,7 +178,7 @@ func E11Substrates() *Result {
 	}()
 
 	tgRemote := func() sim.Time {
-		c := lightCluster(n)
+		c := lightCluster(o, n)
 		base := c.AllocShared(0, 8*words) // no replication: consumers read remotely
 		bar := tsync.NewBarrier(c, 0, n)
 		for i := 0; i < n; i++ {
@@ -199,7 +193,7 @@ func E11Substrates() *Result {
 	}()
 
 	vsm := func() sim.Time {
-		c := lightCluster(n)
+		c := lightCluster(o, n)
 		sys := msg.NewSystem(c)
 		d := dsm.New(c, sys)
 		base := c.AllocShared(0, 8*words)
@@ -216,12 +210,9 @@ func E11Substrates() *Result {
 	}()
 
 	channel := func() sim.Time {
-		cfg := params.Default(n)
-		cfg.Seed = baseSeed
+		cfg := o.config(n)
 		cfg.Sizing.MemBytes = 1 << 21
 		cfg.Placement = params.SharedInMain
-		cfg.Shards = shardCount
-		cfg.PerMessageDelivery = perMessage
 		c := core.New(cfg)
 		ch := msg.NewChannel(c, 1, 2*words)
 		c.Spawn(0, "p", func(ctx *cpu.Ctx) {
@@ -244,7 +235,7 @@ func E11Substrates() *Result {
 	}()
 
 	osMsg := func() sim.Time {
-		c := lightCluster(n)
+		c := lightCluster(o, n)
 		sys := msg.NewSystem(c)
 		c.Spawn(0, "p", func(ctx *cpu.Ctx) {
 			buf := make([]uint64, words)
@@ -289,7 +280,7 @@ func E11Substrates() *Result {
 // for producer/consumer communication; invalidate wins for migratory
 // sharing. Telegraphos's point is to provide the mechanisms and let
 // software choose.
-func E12UpdateVsInvalidate() *Result {
+func E12UpdateVsInvalidate(o Options) *Result {
 	// The traffic asymmetry that decides the winner: per iteration,
 	// update-based coherence moves (written words × copies) while
 	// invalidate moves (whole pages × new readers).
@@ -303,11 +294,8 @@ func E12UpdateVsInvalidate() *Result {
 	const pcWords, migWords, iters = 64, 512, 4
 
 	run := func(proto string, words int, kernel func(m workload.Mem) uint64) sim.Time {
-		cfg := params.Default(n)
-		cfg.Seed = baseSeed
+		cfg := o.config(n)
 		cfg.Sizing.MemBytes = 1 << 21
-		cfg.Shards = shardCount
-		cfg.PerMessageDelivery = perMessage
 		if proto != "update" {
 			// The invalidate baseline models its directory as centralized
 			// hardware state, which only a single-shard cluster can host.

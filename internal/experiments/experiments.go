@@ -1,6 +1,6 @@
 // Package experiments reproduces every quantitative artifact of the
 // paper's evaluation and turns each qualitative protocol claim into a
-// measured experiment. The experiment index (E1–E15) is documented in
+// measured experiment. The experiment index (E1–E16) is documented in
 // DESIGN.md; EXPERIMENTS.md records paper-vs-measured results.
 //
 // Each experiment is a pure function returning a Result; cmd/tgbench
@@ -12,66 +12,39 @@ import (
 	"sort"
 	"strings"
 
+	"telegraphos/internal/params"
 	"telegraphos/internal/stats"
 )
 
-// baseSeed seeds every cluster and engine the experiments build. The
-// whole pipeline is deterministic: two runs with the same base seed
-// produce bit-identical results (determinism_test.go pins this down).
-var baseSeed int64 = 1
-
-// SetSeed overrides the base seed used by every experiment.
-func SetSeed(s int64) { baseSeed = s }
-
-// Seed reports the experiments' current base seed.
-func Seed() int64 { return baseSeed }
-
-// shardCount is the number of simulation shards every experiment cluster
-// runs on. Results are bit-identical for any value (clusters clamp it to
-// their node count); it only changes wall-clock time.
-var shardCount = 1
-
-// SetShards overrides the shard count used by every experiment cluster.
-func SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	shardCount = n
+// Options configures a run of the experiments. The zero value runs
+// sequentially, untraced, at seed 0.
+type Options struct {
+	// Seed seeds every cluster and engine the experiments build. The
+	// whole pipeline is deterministic: two runs with the same seed
+	// produce bit-identical results (determinism_test.go pins seed 1
+	// against a golden file).
+	Seed int64
+	// Shards is the number of simulation shards every experiment cluster
+	// runs on (0 or 1 = sequential). Results are bit-identical for any
+	// value (clusters clamp it to their node count); it only changes
+	// wall-clock time.
+	Shards int
+	// TraceWindow, when positive, attaches the streaming trace pipeline
+	// (trace.WindowedLog with this per-node ring capacity) to the PDES
+	// sweep clusters, so the sweep also measures recording overhead, the
+	// shard-invariant fingerprint, and peak trace residency. Zero runs
+	// the sweep untraced.
+	TraceWindow int
 }
 
-// Shards reports the experiments' current shard count.
-func Shards() int { return shardCount }
-
-// perMessage selects legacy per-message barrier delivery instead of
-// batched slice hand-off. Results are bit-identical either way (the
-// invariance tests prove it); only wall-clock time changes.
-var perMessage = false
-
-// SetPerMessageDelivery overrides the barrier delivery mode used by
-// every experiment cluster.
-func SetPerMessageDelivery(on bool) { perMessage = on }
-
-// PerMessageDelivery reports the current barrier delivery mode.
-func PerMessageDelivery() bool { return perMessage }
-
-// traceWindow, when positive, attaches the streaming trace pipeline
-// (trace.WindowedLog with this per-node ring capacity) to the PDES sweep
-// clusters, so the sweep also measures recording overhead, the
-// shard-invariant fingerprint, and peak trace residency. Zero (the
-// default) runs the sweep untraced, exactly as before.
-var traceWindow = 0
-
-// SetTraceWindow overrides the PDES sweep's trace window (0 disables
-// tracing).
-func SetTraceWindow(n int) {
-	if n < 0 {
-		n = 0
-	}
-	traceWindow = n
+// config returns the default configuration of an n-node cluster built
+// with the options' seed and shard count.
+func (o Options) config(n int) params.Config {
+	cfg := params.Default(n)
+	cfg.Seed = o.Seed
+	cfg.Shards = o.Shards
+	return cfg
 }
-
-// TraceWindow reports the current PDES trace window (0 = untraced).
-func TraceWindow() int { return traceWindow }
 
 // Row is one paper-vs-measured comparison line.
 type Row struct {
@@ -136,7 +109,7 @@ func indent(s, pre string) string {
 }
 
 // Runner produces one experiment result.
-type Runner func() *Result
+type Runner func(Options) *Result
 
 // registry maps experiment ids to runners.
 var registry = map[string]Runner{
@@ -178,10 +151,10 @@ func IDs() []string {
 func Get(id string) Runner { return registry[id] }
 
 // RunAll executes every experiment in order.
-func RunAll() []*Result {
+func RunAll(o Options) []*Result {
 	var out []*Result
 	for _, id := range IDs() {
-		out = append(out, registry[id]())
+		out = append(out, registry[id](o))
 	}
 	return out
 }

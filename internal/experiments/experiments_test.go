@@ -11,7 +11,8 @@ func TestEveryExperimentMatchesPaperShape(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			r := Get(id)()
+			t.Parallel()
+			r := Get(id)(Options{Seed: 1})
 			if r.ID != id {
 				t.Fatalf("runner returned id %q", r.ID)
 			}

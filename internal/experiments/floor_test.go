@@ -27,7 +27,7 @@ func BenchmarkPDESThroughputFloor(b *testing.B) {
 	best := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wall, events, _, _, _ := pdesRun(floor.Nodes, 1, floor.OpsPerNode)
+		wall, events, _, _, _ := pdesRun(Options{Seed: 1}, floor.Nodes, floor.OpsPerNode)
 		if evps := float64(events) / wall.Seconds(); evps > best {
 			best = evps
 		}

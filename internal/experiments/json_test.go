@@ -46,7 +46,7 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 
 func TestWriteJSONRealExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, []*Result{E3GateCount()}); err != nil {
+	if err := WriteJSON(&buf, []*Result{E3GateCount(Options{})}); err != nil {
 		t.Fatal(err)
 	}
 	var out []jsonResult

@@ -10,7 +10,6 @@ import (
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/core"
 	"telegraphos/internal/cpu"
-	"telegraphos/internal/params"
 	"telegraphos/internal/sim"
 	"telegraphos/internal/trace"
 )
@@ -71,15 +70,12 @@ type PDESReport struct {
 const PDESOps = 1500
 
 // pdesCluster builds the campus-configuration cluster for the bench.
-func pdesCluster(nodes, shards int) *core.Cluster {
-	cfg := params.Default(nodes)
-	cfg.Seed = baseSeed
+func pdesCluster(o Options, nodes int) *core.Cluster {
+	cfg := o.config(nodes)
 	cfg.Sizing.MemBytes = 1 << 21
 	cfg.Topology = "chain"
 	cfg.ChainPerSwitch = 4
 	cfg.Link.PropDelay = 1 * sim.Microsecond
-	cfg.Shards = shards
-	cfg.PerMessageDelivery = perMessage
 	return core.New(cfg)
 }
 
@@ -91,13 +87,13 @@ type pdesTrace struct {
 	peak   int
 }
 
-// pdesRun executes the workload on nodes×shards and reports wall time,
-// executed work, critical path, and final simulated time.
-func pdesRun(nodes, shards, ops int) (wall time.Duration, events, critPath uint64, simTime sim.Time, tr pdesTrace) {
-	c := pdesCluster(nodes, shards)
+// pdesRun executes the workload on nodes×o.Shards and reports wall
+// time, executed work, critical path, and final simulated time.
+func pdesRun(o Options, nodes, ops int) (wall time.Duration, events, critPath uint64, simTime sim.Time, tr pdesTrace) {
+	c := pdesCluster(o, nodes)
 	var w *trace.WindowedLog
-	if traceWindow > 0 {
-		w = trace.NewWindowedLog(nodes, traceWindow)
+	if o.TraceWindow > 0 {
+		w = trace.NewWindowedLog(nodes, o.TraceWindow)
 		c.AttachTrace(w)
 	}
 	group := c.Cfg.ChainPerSwitch
@@ -139,8 +135,9 @@ func pdesRun(nodes, shards, ops int) (wall time.Duration, events, critPath uint6
 // PDESSweep runs the node-count × shard-count grid. Within one node
 // count every shard count must execute identical work and reach the
 // identical final simulated time (the determinism contract); the sweep
-// panics if they diverge.
-func PDESSweep(nodeCounts, shardCounts []int, ops int) *PDESReport {
+// panics if they diverge. The options' shard count is ignored: the
+// sweep runs every count in shardList.
+func PDESSweep(o Options, nodeCounts, shardList []int, ops int) *PDESReport {
 	rep := &PDESReport{
 		CPUs:       runtime.NumCPU(),      //tgvet:allow taint(host metadata for the report banner; never feeds simulation state)
 		GOMAXPROCS: runtime.GOMAXPROCS(0), //tgvet:allow taint(host metadata for the report banner; never feeds simulation state)
@@ -151,19 +148,20 @@ func PDESSweep(nodeCounts, shardCounts []int, ops int) *PDESReport {
 		var baseEvents uint64
 		var baseSim sim.Time
 		var baseTrace pdesTrace
-		for _, s := range shardCounts {
+		for _, s := range shardList {
 			if s > n {
 				continue
 			}
-			wall, events, crit, simT, tr := pdesRun(n, s, ops)
-			if s == shardCounts[0] {
+			o.Shards = s
+			wall, events, crit, simT, tr := pdesRun(o, n, ops)
+			if s == shardList[0] {
 				baseWall, baseEvents, baseSim, baseTrace = wall, events, simT, tr
 			} else if events != baseEvents || simT != baseSim {
 				panic(fmt.Sprintf("pdes: %d nodes: shards=%d executed (%d items, %v) but shards=%d executed (%d items, %v)",
-					n, shardCounts[0], baseEvents, baseSim, s, events, simT))
+					n, shardList[0], baseEvents, baseSim, s, events, simT))
 			} else if tr.hash != baseTrace.hash || tr.events != baseTrace.events {
 				panic(fmt.Sprintf("pdes: %d nodes: trace fingerprint diverged across shards (%d shards: hash %#x over %d events; %d shards: hash %#x over %d events)",
-					n, shardCounts[0], baseTrace.hash, baseTrace.events, s, tr.hash, tr.events))
+					n, shardList[0], baseTrace.hash, baseTrace.events, s, tr.hash, tr.events))
 			}
 			rep.Points = append(rep.Points, PDESPoint{
 				Nodes:           n,

@@ -105,10 +105,10 @@ func (r *SweepResult) Failed() bool {
 // count × fault schedule × timing variant. Invalidate's centralized
 // directory restricts it to single-shard runs.
 func Sweep(opts SweepOptions) *SweepResult {
-	shardCounts := []int{1, 2, 4}
+	shardList := []int{1, 2, 4}
 	variants := 5
 	if opts.Quick {
-		shardCounts = []int{1, 2}
+		shardList = []int{1, 2}
 		variants = 3
 	}
 	faultLevels := FaultLevels(opts.Quick)
@@ -138,7 +138,7 @@ func Sweep(opts SweepOptions) *SweepResult {
 			if t.needsWitness(proto) {
 				witnessNeeded[t.Name+"/"+proto.String()] = true
 			}
-			for _, shards := range shardCounts {
+			for _, shards := range shardList {
 				if proto == Invalidate && shards > 1 {
 					continue
 				}
@@ -228,7 +228,7 @@ func Sweep(opts SweepOptions) *SweepResult {
 		byShard := hashes[hk]
 		var want uint64
 		first := true
-		for _, shards := range shardCounts {
+		for _, shards := range shardList {
 			h, ok := byShard[shards]
 			if !ok {
 				continue

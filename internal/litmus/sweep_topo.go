@@ -47,10 +47,10 @@ func TopoLevels(quick bool) []TopoLevel {
 // linearizability, fences, coherence, no forbidden outcomes under the
 // Telegraphos protocols, shard-invariant hashes — is.
 func SweepTopo(opts SweepOptions) *SweepResult {
-	shardCounts := []int{1, 2, 4}
+	shardList := []int{1, 2, 4}
 	variants := 2
 	if opts.Quick {
-		shardCounts = []int{1, 2}
+		shardList = []int{1, 2}
 		variants = 1
 	}
 	levels := TopoLevels(opts.Quick)
@@ -77,7 +77,7 @@ func SweepTopo(opts SweepOptions) *SweepResult {
 				if !t.runsUnder(proto) {
 					continue
 				}
-				for _, shards := range shardCounts {
+				for _, shards := range shardList {
 					if proto == Invalidate && shards > 1 {
 						continue
 					}
@@ -165,7 +165,7 @@ func SweepTopo(opts SweepOptions) *SweepResult {
 		byShard := hashes[hk]
 		var want uint64
 		first := true
-		for _, shards := range shardCounts {
+		for _, shards := range shardList {
 			h, ok := byShard[shards]
 			if !ok {
 				continue

@@ -31,29 +31,13 @@ func (a eqEnt) before(b eqEnt) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is the engine's priority-queue contract: pop order is
-// exactly (when, seq) ascending. Canceled events are the engine's
-// business — it checks slots at peek/pop and calls compact when dead
-// entries accumulate.
-type eventQueue interface {
-	push(eqEnt)
-	// pop removes and returns the minimum entry; it must only be called
-	// on a non-empty queue.
-	pop() eqEnt
-	// peek returns the minimum entry without removing it.
-	peek() (eqEnt, bool)
-	len() int
-	// compact removes every entry whose slot was canceled, handing each
-	// dead slot to free for recycling.
-	compact(free func(*eventSlot))
-}
-
-// heap4 is the default event queue: a 4-ary min-heap of value entries.
+// heap4 is the engine's event queue: a 4-ary min-heap of value entries
+// whose pop order is exactly (when, seq) ascending. Canceled events are
+// the engine's business — it checks slots at peek/pop and calls compact
+// when dead entries accumulate.
 type heap4 struct {
 	a []eqEnt
 }
-
-func newHeap4() *heap4 { return &heap4{} }
 
 //tgvet:noalloc
 func (h *heap4) len() int { return len(h.a) }
@@ -72,6 +56,9 @@ func (h *heap4) peek() (eqEnt, bool) {
 	return h.a[0], true
 }
 
+// pop removes and returns the minimum entry; it must only be called on
+// a non-empty queue.
+//
 //tgvet:noalloc
 func (h *heap4) pop() eqEnt {
 	a := h.a
@@ -131,12 +118,15 @@ func (h *heap4) down(i int) {
 	a[i] = e
 }
 
+// compact removes every entry whose slot was canceled, recycling each
+// dead slot into p.
+//
 //tgvet:noalloc
-func (h *heap4) compact(free func(*eventSlot)) {
+func (h *heap4) compact(p *eventPool) {
 	live := h.a[:0]
 	for _, e := range h.a {
 		if e.slot.canceled {
-			free(e.slot) //tgvet:allow noalloc(free is the engine's pool.put bound at the single maybeCompact call site; see engine.go)
+			p.put(e.slot)
 		} else {
 			live = append(live, e) //tgvet:allow noalloc(append into h.a's own prefix; capacity is already there by construction)
 		}

@@ -1,13 +1,14 @@
 package sim
 
 // The event queue's differential oracle: a container/heap-backed
-// reference implementation of the eventQueue contract, plus tests that
+// reference implementation of heap4's pop-order contract, plus tests that
 // drive it and heap4 with identical operation sequences — random,
 // adversarial ties, cancel-heavy — and demand the identical pop order,
 // including (when, seq) tie-breaks and post-compaction order.
 
 import (
 	"container/heap"
+	"sort"
 	"testing"
 )
 
@@ -27,7 +28,7 @@ func (h *refEntries) Pop() interface{} {
 	return e
 }
 
-// refQueue is the reference eventQueue: correct by construction via the
+// refQueue is the reference event queue: correct by construction via the
 // standard library's binary heap.
 type refQueue struct {
 	h refEntries
@@ -58,12 +59,9 @@ func (q *refQueue) compact(free func(*eventSlot)) {
 	heap.Init(&q.h)
 }
 
-var _ eventQueue = (*refQueue)(nil)
-var _ eventQueue = (*heap4)(nil)
-
 // drainEqual pops both queues dry and fails on the first divergence.
 // Entries are compared by key (when, seq) and slot identity.
-func drainEqual(t *testing.T, name string, a, b eventQueue) {
+func drainEqual(t *testing.T, name string, a *heap4, b *refQueue) {
 	t.Helper()
 	if a.len() != b.len() {
 		t.Fatalf("%s: len %d vs %d", name, a.len(), b.len())
@@ -105,7 +103,7 @@ func TestEventQueueDifferentialTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h4, ref := newHeap4(), &refQueue{}
+			h4, ref := &heap4{}, &refQueue{}
 			slots := make([]eventSlot, len(tc.whens))
 			for i, w := range tc.whens {
 				e := eqEnt{when: w, seq: uint64(i + 1), slot: &slots[i]}
@@ -125,7 +123,7 @@ func TestEventQueueDifferentialTable(t *testing.T) {
 func TestEventQueueDifferentialRandom(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		rng := NewRNG(seed)
-		h4, ref := newHeap4(), &refQueue{}
+		h4, ref := &heap4{}, &refQueue{}
 		var seq uint64
 		var live []eqEnt // entries pushed and not yet popped or canceled
 		for op := 0; op < 2000; op++ {
@@ -152,13 +150,16 @@ func TestEventQueueDifferentialRandom(t *testing.T) {
 					live[rng.Intn(len(live))].slot.canceled = true
 				}
 			default: // compact both; freed slots must match as sets
-				freedA, freedB := map[*eventSlot]bool{}, map[*eventSlot]bool{}
-				h4.compact(func(s *eventSlot) { freedA[s] = true })
+				// The reference goes first: heap4 recycles dead slots
+				// into the pool, and put clears their canceled flag.
+				freedB := map[*eventSlot]bool{}
 				ref.compact(func(s *eventSlot) { freedB[s] = true })
-				if len(freedA) != len(freedB) {
-					t.Fatalf("seed %d op %d: compact freed %d vs %d slots", seed, op, len(freedA), len(freedB))
+				var pool eventPool
+				h4.compact(&pool)
+				if len(pool.free) != len(freedB) {
+					t.Fatalf("seed %d op %d: compact freed %d vs %d slots", seed, op, len(pool.free), len(freedB))
 				}
-				for s := range freedA {
+				for _, s := range pool.free {
 					if !freedB[s] {
 						t.Fatalf("seed %d op %d: compact freed different slot sets", seed, op)
 					}
@@ -182,7 +183,7 @@ func FuzzEventQueueDifferential(f *testing.F) {
 	f.Add([]byte{0x00, 0x21, 0x42, 0x03, 0x64, 0x05, 0x86, 0xa7})
 	f.Add([]byte{0x10, 0x10, 0x10, 0x10, 0x04, 0x04, 0x04, 0x04})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h4, ref := newHeap4(), &refQueue{}
+		h4, ref := &heap4{}, &refQueue{}
 		var seq uint64
 		var live []eqEnt
 		for _, b := range data {
@@ -203,8 +204,8 @@ func FuzzEventQueueDifferential(f *testing.F) {
 				}
 			case 3:
 				if b&0x4 != 0 { // compact
-					h4.compact(func(*eventSlot) {})
-					ref.compact(func(*eventSlot) {})
+					ref.compact(func(*eventSlot) {}) // before heap4, whose pool.put clears canceled
+					h4.compact(&eventPool{})
 				} else if len(live) > 0 { // cancel
 					live[int(b>>3)%len(live)].slot.canceled = true
 				}
@@ -222,32 +223,34 @@ func FuzzEventQueueDifferential(f *testing.F) {
 	})
 }
 
-// TestEngineOnRefQueue swaps the reference queue into a live engine and
-// requires the identical firing order heap4 produces — the eventQueue
-// interface contract, checked end to end.
-func TestEngineOnRefQueue(t *testing.T) {
-	runWith := func(q eventQueue) []int {
-		e := NewEngine(7)
-		e.events = q
-		rng := NewRNG(99)
-		var order []int
-		for i := 0; i < 200; i++ {
-			i := i
-			e.Schedule(Time(rng.Intn(16)), func() { order = append(order, i) })
-		}
-		if err := e.Run(); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return order
+// TestEngineFiringOrder checks the engine end to end against the
+// contract the queue tests check in isolation: 200 randomly timed events
+// (ties on every timestamp) must fire in a stable sort of their
+// (when, schedule order) keys.
+func TestEngineFiringOrder(t *testing.T) {
+	e := NewEngine(7)
+	rng := NewRNG(99)
+	whens := make([]Time, 200)
+	var order []int
+	for i := range whens {
+		i := i
+		whens[i] = Time(rng.Intn(16))
+		e.Schedule(whens[i], func() { order = append(order, i) })
 	}
-	a := runWith(newHeap4())
-	b := runWith(&refQueue{})
-	if len(a) != len(b) {
-		t.Fatalf("fired %d events on heap4 vs %d on ref", len(a), len(b))
+	if err := e.Run(); err != nil {
+		t.Fatalf("run: %v", err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("firing order diverged at %d: %d vs %d", i, a[i], b[i])
+	want := make([]int, len(whens))
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(a, b int) bool { return whens[want[a]] < whens[want[b]] })
+	if len(order) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(order), len(want))
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("firing order diverged at %d: event %d, want %d", i, order[i], want[i])
 		}
 	}
 }

@@ -28,10 +28,10 @@ go test ./...
 echo '== go test -race ./...'
 go test -race ./...
 
-# Sharded-engine determinism: the same workloads must produce
-# bit-identical traces and experiment results on 1, 2, 4, and 8 shards
-# (batched and per-message barrier delivery), with the shard workers
-# packed onto one OS thread and spread across four.
+# Sharded-engine determinism: the same workloads must produce the
+# checked-in golden traces and experiment results on 1, 2, 4, and 8
+# shards, with the shard workers packed onto one OS thread and spread
+# across four.
 echo '== shard determinism (-cpu 1,4)'
 go test ./internal/simtest -run TestShardInvariantTraceHash -cpu 1,4 -count 1
 go test ./internal/experiments -run TestExperimentsShardInvariant -cpu 1,4 -count 1
