@@ -97,11 +97,13 @@ const chaosGolden = "testdata/chaos.golden"
 // chaosFingerprints runs every seed of TestShardInvariantTraceHash with
 // faults off and on under opts and renders one golden line per run:
 // topology, trace hash, event count, final simulated time, and fault
-// counters. Invariant violations fail the test.
+// counters. Invariant violations fail the test. Seed 289 draws the
+// dragonfly fabric with faults both off and on; the others cover chain,
+// star, pair, fat-tree and both tori.
 func chaosFingerprints(t *testing.T, opts Options) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	for _, seed := range []int64{0, 1, 2, 3, 7, 11} {
+	for _, seed := range []int64{0, 1, 2, 3, 7, 11, 289} {
 		for _, faults := range []bool{false, true} {
 			o := opts
 			o.NoFaults = !faults
