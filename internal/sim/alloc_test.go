@@ -133,3 +133,48 @@ func TestChanSendCrossShardAllocs(t *testing.T) {
 		}
 	})
 }
+
+// TestProcSleepAllocs gates the process switch: a warmed Sleep → wake →
+// park round trip schedules one pooled timer and transfers control to
+// the process and back without touching the allocator.
+func TestProcSleepAllocs(t *testing.T) {
+	e := NewEngine(1)
+	wakes := 0
+	e.SpawnDaemon("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(1)
+			wakes++
+		}
+	})
+	if err := e.RunUntil(1024); err != nil {
+		t.Fatal(err)
+	}
+	measureAllocs(t, "proc sleep/wake/park", func() {
+		if err := e.RunUntil(e.Now() + 256); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if wakes == 0 {
+		t.Fatal("process never woke")
+	}
+}
+
+// BenchmarkProcSwitch reports the cost of one Sleep(1) round trip: the
+// timer event fires, the engine resumes the process, and the process
+// schedules its next timer and parks.
+func BenchmarkProcSwitch(b *testing.B) {
+	e := NewEngine(1)
+	e.SpawnDaemon("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	if err := e.RunUntil(1024); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.RunUntil(e.Now() + Time(b.N)); err != nil {
+		b.Fatal(err)
+	}
+}

@@ -169,7 +169,8 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // block on (or be enqueued by) a primitive owned by e. Blocking
 // primitives are shard-local state: a waiter is woken by its owner
 // engine's event loop, so a cross-shard waiter would be resumed on the
-// wrong thread, breaking both determinism and the hand-off discipline.
+// wrong thread, breaking both determinism and the one-runner-at-a-time
+// discipline.
 // Cross-shard interaction must go through a Chan instead.
 func (e *Engine) checkSameShard(p *Proc) {
 	if p.eng != e {
@@ -378,5 +379,13 @@ func (e *Engine) RunUntil(deadline Time) error {
 func (e *Engine) fail(name string, v interface{}) {
 	if e.failure == nil {
 		e.failure = fmt.Errorf("sim: process %q panicked: %v", name, v)
+	}
+}
+
+// failGoexit records a process body that ended in runtime.Goexit (for
+// example t.FailNow) instead of returning.
+func (e *Engine) failGoexit(name string) {
+	if e.failure == nil {
+		e.failure = fmt.Errorf("sim: process %q called runtime.Goexit", name)
 	}
 }

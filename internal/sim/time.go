@@ -2,10 +2,10 @@
 // with coroutine-style processes.
 //
 // The engine owns a virtual clock and a priority queue of events. Processes
-// (see Proc) are goroutines that run under a strict hand-off discipline:
-// exactly one goroutine — either the engine loop or a single process — is
-// runnable at any instant, so simulations are fully deterministic and
-// race-free without locks.
+// (see Proc) are coroutines: a wake switches from the engine loop straight
+// into the process and a park switches straight back, so exactly one of
+// them — the engine loop or a single process — runs at any instant, and
+// simulations are fully deterministic and race-free without locks.
 //
 // All Telegraphos hardware models (buses, links, switches, the HIB) and all
 // workload programs are built on this package.
