@@ -54,7 +54,8 @@ bench:
 	$(GO) run ./cmd/tgbench
 	$(GO) run ./cmd/tgbench -pdes -out BENCH_pdes.json
 
-# Short fuzz pass over the wire-format and address-space targets.
+# Short fuzz pass over the wire-format, address-space and checkpoint
+# targets.
 fuzz:
 	$(GO) test ./internal/packet -fuzz FuzzEncodeDecode -fuzztime 10s
 	$(GO) test ./internal/addrspace -fuzz FuzzAddrRoundTrips -fuzztime 10s
@@ -62,3 +63,4 @@ fuzz:
 	$(GO) test ./internal/consistency -fuzz FuzzCoherent -fuzztime 15s
 	$(GO) test ./internal/switchfab -fuzz FuzzMergeSplit -fuzztime 10s
 	$(GO) test ./internal/topology -fuzz FuzzRoute -fuzztime 15s
+	$(GO) test ./internal/trace -fuzz FuzzCheckpoint -fuzztime 10s

@@ -110,7 +110,10 @@ func (c *Checkpoint) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadCheckpoint decodes a TGC1 checkpoint.
+// ReadCheckpoint decodes a TGC1 checkpoint. The node and window counts
+// in the file are untrusted: windows grow as their records are actually
+// read, so a corrupt count yields a truncation error, never a huge
+// up-front allocation. Bytes after the last window are an error too.
 func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	br := bufio.NewReader(r)
 	var m [4]byte
@@ -133,11 +136,11 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		Merged:  get64(hdr[8:]),
 		LastAt:  int64(get64(hdr[16:])),
 		Spilled: get64(hdr[24:]),
-		Windows: make([][]Event, nodes),
+		Windows: make([][]Event, 0, min(nodes, 1024)),
 	}
 	var cnt [8]byte
 	var rec [spillRecSize]byte
-	for i := range c.Windows {
+	for i := uint64(0); i < nodes; i++ {
 		if _, err := io.ReadFull(br, cnt[:]); err != nil {
 			return nil, fmt.Errorf("trace: checkpoint: truncated window count (node %d)", i)
 		}
@@ -145,14 +148,21 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if n > 1<<32 {
 			return nil, fmt.Errorf("trace: checkpoint: implausible window length %d (node %d)", n, i)
 		}
-		evs := make([]Event, 0, n)
+		evs := make([]Event, 0, min(n, 1024))
 		for j := uint64(0); j < n; j++ {
 			if _, err := io.ReadFull(br, rec[:]); err != nil {
 				return nil, fmt.Errorf("trace: checkpoint: truncated record (node %d)", i)
 			}
 			evs = append(evs, decodeEvent(rec[:]))
 		}
-		c.Windows[i] = evs
+		c.Windows = append(c.Windows, evs)
 	}
-	return c, nil
+	switch _, err := br.ReadByte(); err {
+	case io.EOF:
+		return c, nil
+	case nil:
+		return nil, fmt.Errorf("trace: checkpoint: trailing data after the last window")
+	default:
+		return nil, fmt.Errorf("trace: checkpoint: %w", err)
+	}
 }

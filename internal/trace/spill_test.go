@@ -272,4 +272,55 @@ func TestCheckpointRejectsCorrupt(t *testing.T) {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
+	if _, err := ReadCheckpoint(bytes.NewReader(append(buf.Bytes(), 0))); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	if _, err := ReadCheckpoint(bytes.NewReader(hugeWindowCheckpoint())); err == nil {
+		t.Fatal("window count 2^32 with no records accepted")
+	}
+}
+
+// hugeWindowCheckpoint is a 52-byte TGC1 file (testdata/fuzz/
+// FuzzCheckpoint/huge-window) that claims one node whose window holds
+// 2^32 records and then ends. Sizing the window from that count once
+// made the decoder attempt a 192 GiB allocation and die with an
+// unrecoverable out-of-memory error.
+func hugeWindowCheckpoint() []byte {
+	b := append([]byte("TGC1"), make([]byte, 8*5+8)...)
+	put64(b[4+32:], 1)
+	put64(b[4+40:], 1<<32)
+	return b
+}
+
+// FuzzCheckpoint fuzzes the TGC1 decoder: arbitrary input must never
+// panic (or exhaust memory), and any checkpoint that decodes cleanly
+// must re-encode byte-identically.
+func FuzzCheckpoint(f *testing.F) {
+	w := NewWindowedLog(3, 8)
+	for n, s := range genStreams(sim.ForkRNG(1, "fuzz/checkpoint-seed"), 3, 6) {
+		rec := w.Recorder(n)
+		for _, e := range s {
+			rec(e)
+		}
+	}
+	var seed bytes.Buffer
+	if err := w.Checkpoint().Encode(&seed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte{})
+	f.Add([]byte("TGC1"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := ReadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := c.Encode(&out); err != nil {
+			t.Fatalf("clean decode re-encode rejected: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("re-encode of %d windows is not byte-identical", len(c.Windows))
+		}
+	})
 }
