@@ -6,7 +6,7 @@ import (
 
 // AnalyzerShardLocal proves the shard-locality contract statically,
 // mirroring the runtime assertions in internal/sim (Engine.checkSameShard
-// and the Proc hand-off discipline):
+// and the one-runner-at-a-time Proc discipline):
 //
 //  1. Blocking primitives — Queue.Get/Put, Semaphore.Acquire,
 //     Mutex.Lock, Completion.Wait, Future.Wait, Proc.Sleep/Yield, and
@@ -14,14 +14,15 @@ import (
 //     process's own body. An event callback (a func literal handed to
 //     Engine.Schedule/Engine.At or shipped across shards with
 //     Chan.Send) executes on the engine loop, where parking would
-//     corrupt the hand-off and, cross-shard, wake a process on the
-//     wrong shard's thread.
+//     switch out of a callback that is not a process and, cross-shard,
+//     wake a process on the wrong shard's thread.
 //  2. Raw `go` statements are forbidden in simulation code: all
 //     concurrency must come from Engine.Spawn / the Group's round
 //     scheduler, or determinism and the one-runner-at-a-time discipline
-//     are gone. The sim core's own two launch sites carry
-//     //tgvet:allow shardlocal(...) annotations naming why they are the
-//     discipline rather than a violation of it.
+//     are gone. The sim core's one launch site, the Group's round
+//     scheduler, carries a //tgvet:allow shardlocal(...) annotation
+//     naming why it is the discipline rather than a violation of it.
+//     Processes need none: they are iter.Pull coroutines, not goroutines.
 var AnalyzerShardLocal = &Analyzer{
 	Name: "shardlocal",
 	Doc:  "blocking primitives stay in process context; goroutines stay inside the engine",
