@@ -1,10 +1,21 @@
 package litmus
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"strings"
 	"testing"
 
 	"telegraphos/internal/sim"
 )
+
+// update rewrites testdata/quick.golden from this build.
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from this build")
+
+// quickGolden pins the `tglitmus -quick` report at seed 1: every cell's
+// outcome histogram, run count and verdict.
+const quickGolden = "testdata/quick.golden"
 
 func findTest(t *testing.T, name string) *Test {
 	t.Helper()
@@ -144,7 +155,9 @@ func TestFaultedAtomics(t *testing.T) {
 }
 
 // TestQuickSweepPasses is the tier-1 gate: the trimmed matrix must be
-// violation-free and must still catch the Galactica witness.
+// violation-free, must still catch the Galactica witness, and must
+// reproduce the checked-in outcome histograms byte for byte (-update
+// rewrites them).
 func TestQuickSweepPasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick sweep still runs the full trimmed matrix")
@@ -160,6 +173,33 @@ func TestQuickSweepPasses(t *testing.T) {
 	}
 	if res.Runs == 0 {
 		t.Fatal("sweep ran nothing")
+	}
+	var got bytes.Buffer
+	res.Report(&got)
+	if *update {
+		if err := os.WriteFile(quickGolden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(quickGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		w := strings.Split(string(want), "\n")
+		g := strings.Split(got.String(), "\n")
+		for i := 0; i < max(len(w), len(g)); i++ {
+			var wl, gl string
+			if i < len(w) {
+				wl = w[i]
+			}
+			if i < len(g) {
+				gl = g[i]
+			}
+			if wl != gl {
+				t.Errorf("%s line %d:\n  want %s\n  got  %s", quickGolden, i+1, wl, gl)
+			}
+		}
 	}
 }
 
