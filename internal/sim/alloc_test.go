@@ -178,3 +178,56 @@ func BenchmarkProcSwitch(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestSpawnAllocs gates the transient-process cycle: once a finished
+// body's coroutine sits on the idle list, a spawn reuses it, so spawn →
+// Sleep(1) → finish allocates only the Proc and its prebound wake.
+func TestSpawnAllocs(t *testing.T) {
+	e := NewEngine(1)
+	transient := func(p *Proc) { p.Sleep(1) }
+	avg := -1.0
+	e.Spawn("driver", func(p *Proc) {
+		cycle := func() {
+			e.Spawn("transient", transient)
+			p.Sleep(2)
+		}
+		// Warm-up: the first cycle starts the coroutine, later ones reuse it.
+		for i := 0; i < 16; i++ {
+			cycle()
+		}
+		avg = testing.AllocsPerRun(100, cycle)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if avg < 0 || avg > 2 {
+		t.Errorf("spawn/sleep/finish: %.2f allocs/run, want at most 2", avg)
+	}
+}
+
+// BenchmarkSpawn reports the cost of one transient process: spawn,
+// Sleep(1), finish. One spawn is in flight at a time, so after the
+// warm-up every spawn can reuse the previous body's coroutine.
+func BenchmarkSpawn(b *testing.B) {
+	const warm = 16
+	e := NewEngine(1)
+	transient := func(p *Proc) { p.Sleep(1) }
+	n := 0
+	var tick func()
+	tick = func() {
+		if n == warm {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		if n == warm+b.N {
+			return
+		}
+		n++
+		e.Spawn("transient", transient)
+		e.Schedule(2, tick)
+	}
+	e.Schedule(0, tick)
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}

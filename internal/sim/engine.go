@@ -109,10 +109,17 @@ type Engine struct {
 	alive      int // non-daemon procs not yet finished
 	stopped    bool
 	failure    error
-	current    *Proc  // proc currently executing, if any
 	deadEvents int    // canceled events still sitting in the queue
 	executed   uint64 // events + messages executed
 	nextChanID uint64 // chan ids for standalone (group-less) engines
+
+	// current is the process currently executing, if any: wake sets it
+	// before resuming a coroutine and clears it when the coroutine parks,
+	// and an idle coroutine reads it to learn which body to run next.
+	current *Proc
+	// idle holds coroutines whose bodies returned, parked for reuse by
+	// the next spawn; RunUntil ends them before it returns (see Proc).
+	idle []coro
 
 	// stage holds cross-shard messages generated during this engine's
 	// window, batched per destination shard; the group barrier hands each
@@ -353,6 +360,7 @@ func (e *Engine) RunUntil(deadline Time) error {
 	if e.group != nil && len(e.group.engines) > 1 {
 		return e.group.RunUntil(deadline)
 	}
+	defer e.releaseIdle()
 	e.stopped = false
 	e.runWindow(-1, deadline)
 	if e.failure != nil {

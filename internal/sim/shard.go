@@ -199,6 +199,11 @@ func (g *Group) RunUntil(deadline Time) error {
 	if len(g.engines) == 1 {
 		return g.engines[0].RunUntil(deadline)
 	}
+	defer func() {
+		for _, e := range g.engines {
+			e.releaseIdle()
+		}
+	}()
 	for _, e := range g.engines {
 		e.stopped = false
 	}
