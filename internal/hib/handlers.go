@@ -1,8 +1,6 @@
 package hib
 
 import (
-	"fmt"
-
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/packet"
 	"telegraphos/internal/sim"
@@ -81,7 +79,7 @@ func (h *HIB) deliverLocal(pkt *packet.Packet) {
 		if h.serviceFast(pkt, nil) {
 			return
 		}
-		h.eng.SpawnDaemon(fmt.Sprintf("%v.hib.loop", h.node), func(p *sim.Proc) {
+		h.eng.SpawnDaemon(h.loopName, func(p *sim.Proc) {
 			if pkt.Class() == packet.VCRequest {
 				h.handleRequest(p, pkt)
 			} else {
@@ -109,7 +107,7 @@ func (h *HIB) serviceFast(pkt *packet.Packet, done func()) bool {
 	switch pkt.Type {
 	case packet.WriteReq:
 		h.countRx(pkt.Type)
-		h.applyq = append(h.applyq, applyItem{pkt: pkt, done: done})
+		h.applyq.Push(applyItem{pkt: pkt, done: done})
 		h.eng.Schedule(h.timing.MPMWrite, h.applyFn) //tgvet:allow eventdrop(memory-port apply delay always fires; no cancel path exists)
 
 	case packet.ReadReq:

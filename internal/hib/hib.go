@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"telegraphos/internal/addrspace"
+	"telegraphos/internal/fifo"
 	"telegraphos/internal/mem"
 	"telegraphos/internal/osmodel"
 	"telegraphos/internal/packet"
@@ -78,7 +79,7 @@ type HIB struct {
 	// one packet on the injection wire at a time (SendEv + wire-clear
 	// callback), which serializes transmissions exactly as the old
 	// blocking sender process did.
-	outQ      [packet.NumVCs][]outItem
+	outQ      [packet.NumVCs]fifo.Ring[outItem]
 	txBusy    [packet.NumVCs]bool
 	txCur     [packet.NumVCs]outItem
 	txClearFn [packet.NumVCs]func()
@@ -100,8 +101,11 @@ type HIB struct {
 	// scheduled MPMWrite ahead, and events fire in schedule order at equal
 	// deltas, so a FIFO plus one prebound handler services the board's
 	// hottest packet type without a per-packet closure.
-	applyq  []applyItem
+	applyq  fifo.Ring[applyItem]
 	applyFn func()
+
+	// Names of the board's transient processes, built once per board.
+	rxName, loopName, dmaName string
 
 	// pktFree recycles consumed WriteReq/WriteAck packets. A packet is
 	// freed by the board that consumed it (always on that board's engine,
@@ -188,6 +192,8 @@ func New(eng *sim.Engine, node addrspace.NodeID, net *topology.Network, bus *tch
 	h.cRemoteWrite = h.Counters.Cell("remote-write")
 	h.cRemoteRead = h.Counters.Cell("remote-read")
 	h.cMulticastWrite = h.Counters.Cell("multicast-write")
+	prefix := fmt.Sprint(node)
+	h.rxName, h.loopName, h.dmaName = prefix+".hib.rx", prefix+".hib.loop", prefix+".hib.dma"
 	h.start()
 	return h
 }
@@ -273,10 +279,7 @@ func (h *HIB) start() {
 // applyWrite completes the oldest in-flight WriteReq: the MPM write lands,
 // the apply event is recorded, and the acknowledgement heads home.
 func (h *HIB) applyWrite() {
-	it := h.applyq[0]
-	copy(h.applyq, h.applyq[1:])
-	h.applyq[len(h.applyq)-1] = applyItem{}
-	h.applyq = h.applyq[:len(h.applyq)-1]
+	it := h.applyq.Pop()
 	pkt := it.pkt
 	h.mem.WriteWord(pkt.Addr.Offset(), pkt.Val)
 	h.Emit(trace.EvWriteApply, uint64(pkt.Addr), pkt.Val, uint64(pkt.Src))
@@ -290,14 +293,10 @@ func (h *HIB) applyWrite() {
 // txPump launches the oldest queued packet on vc's injection link; the
 // next launch happens from the wire-clear callback.
 func (h *HIB) txPump(vc packet.VC) {
-	if h.txBusy[vc] || len(h.outQ[vc]) == 0 {
+	if h.txBusy[vc] || h.outQ[vc].Len() == 0 {
 		return
 	}
-	q := h.outQ[vc]
-	it := q[0]
-	copy(q, q[1:])
-	q[len(q)-1] = outItem{}
-	h.outQ[vc] = q[:len(q)-1]
+	it := h.outQ[vc].Pop()
 	h.txBusy[vc] = true
 	h.txCur[vc] = it
 	h.net.SendEv(it.pkt, h.txClearFn[vc])
@@ -340,7 +339,7 @@ func (h *HIB) rxService(vc packet.VC) {
 	if h.serviceFast(pkt, h.rxDonFn[vc]) {
 		return
 	}
-	h.eng.SpawnDaemon(fmt.Sprintf("%v.hib.rx", h.node), func(p *sim.Proc) {
+	h.eng.SpawnDaemon(h.rxName, func(p *sim.Proc) {
 		if pkt.Class() == packet.VCRequest {
 			h.handleRequest(p, pkt)
 		} else {
@@ -367,7 +366,7 @@ func (h *HIB) post(pkt *packet.Packet) {
 		return
 	}
 	vc := pkt.Class()
-	h.outQ[vc] = append(h.outQ[vc], outItem{pkt: pkt})
+	h.outQ[vc].Push(outItem{pkt: pkt})
 	h.txPump(vc)
 }
 
@@ -390,7 +389,7 @@ func (h *HIB) postCPU(p *sim.Proc, pkt *packet.Packet) {
 	}
 	h.cpuCredits.Acquire(p)
 	vc := pkt.Class()
-	h.outQ[vc] = append(h.outQ[vc], outItem{pkt: pkt, fromCPU: true})
+	h.outQ[vc].Push(outItem{pkt: pkt, fromCPU: true})
 	h.txPump(vc)
 }
 

@@ -27,6 +27,7 @@ package link
 import (
 	"fmt"
 
+	"telegraphos/internal/fifo"
 	"telegraphos/internal/packet"
 	"telegraphos/internal/sim"
 )
@@ -104,21 +105,20 @@ type Link struct {
 	// which serializes transmissions in launch order exactly as the old
 	// wire mutex did, without a coroutine parked per packet.
 	credits  [packet.NumVCs]int
-	sendq    [packet.NumVCs][]pendingSend
+	sendq    [packet.NumVCs]fifo.Ring[pendingSend]
 	wireFree sim.Time
 	creditFn [packet.NumVCs]func() // prebound credit-arrival handlers
-	wireq    []wireItem            // reserved wire slots, in clear order
+	wireq    fifo.Ring[wireItem]   // reserved wire slots, in clear order
 	clearFn  func()                // prebound wire-clear handler
 
 	// In-flight packets on a fault-free wire (see rxItem). The sender
-	// appends at wireq head-pop time; the receiver-engine pushFn pops.
-	rxq    []rxItem
-	rxHead int
+	// pushes at wireq head-pop time; the receiver-engine pushFn pops.
+	rxq    fifo.Ring[rxItem]
 	pushFn func() // prebound arrival handler
 
 	// Receiver state: arrived-but-unconsumed packets per VC, plus either
 	// blocked Recv callers or an event-driven consumer's notify hook.
-	arrived [packet.NumVCs][]*packet.Packet
+	arrived [packet.NumVCs]fifo.Ring[*packet.Packet]
 	waiters [packet.NumVCs][]*sim.Completion
 	notify  [packet.NumVCs]func()
 
@@ -183,11 +183,11 @@ func (l *Link) transferTime(pkt *packet.Packet) sim.Time {
 // duplicates, and reordering on the wire.
 func (l *Link) SendEv(pkt *packet.Packet, onClear func()) {
 	vc := pkt.Channel()
-	if l.credits[vc] > 0 && len(l.sendq[vc]) == 0 {
+	if l.credits[vc] > 0 && l.sendq[vc].Len() == 0 {
 		l.launch(vc, pkt, onClear)
 		return
 	}
-	l.sendq[vc] = append(l.sendq[vc], pendingSend{pkt: pkt, onClear: onClear})
+	l.sendq[vc].Push(pendingSend{pkt: pkt, onClear: onClear})
 }
 
 // launch spends one credit and reserves the next wire slot for pkt.
@@ -202,7 +202,7 @@ func (l *Link) launch(vc packet.VC, pkt *packet.Packet, onClear func()) {
 	l.busy += t
 	l.sentPackets++
 	l.sentWords += int64((pkt.SizeBytes() + 7) / 8)
-	l.wireq = append(l.wireq, wireItem{vc: vc, pkt: pkt, onClear: onClear})
+	l.wireq.Push(wireItem{vc: vc, pkt: pkt, onClear: onClear})
 	l.eng.At(l.wireFree, l.clearFn) //tgvet:allow eventdrop(wire-clear always fires; the queued wireItem is consumed by exactly this event)
 }
 
@@ -210,15 +210,12 @@ func (l *Link) launch(vc packet.VC, pkt *packet.Packet, onClear func()) {
 // serializing: the packet enters the wire proper (propagation), and the
 // sender's onClear chain fires.
 func (l *Link) wireClear() {
-	w := l.wireq[0]
-	copy(l.wireq, l.wireq[1:])
-	l.wireq[len(l.wireq)-1] = wireItem{}
-	l.wireq = l.wireq[:len(l.wireq)-1]
+	w := l.wireq.Pop()
 	switch {
 	case l.inj != nil:
 		l.inj.send(w.vc, w.pkt)
 	case l.eng == l.reng:
-		l.rxq = append(l.rxq, rxItem{vc: w.vc, pkt: w.pkt})
+		l.rxq.Push(rxItem{vc: w.vc, pkt: w.pkt})
 		l.fwd.Send(l.cfg.PropDelay, l.pushFn)
 	default:
 		vc, pkt := w.vc, w.pkt
@@ -231,13 +228,7 @@ func (l *Link) wireClear() {
 
 // pushHead delivers the oldest in-flight packet on the receiver engine.
 func (l *Link) pushHead() {
-	it := l.rxq[l.rxHead]
-	l.rxq[l.rxHead] = rxItem{}
-	l.rxHead++
-	if l.rxHead == len(l.rxq) {
-		l.rxq = l.rxq[:0]
-		l.rxHead = 0
-	}
+	it := l.rxq.Pop()
 	l.push(it.vc, it.pkt)
 }
 
@@ -245,11 +236,8 @@ func (l *Link) pushHead() {
 // returns; it launches the oldest queued packet on the VC, if any.
 func (l *Link) creditArrive(vc packet.VC) {
 	l.credits[vc]++
-	if q := l.sendq[vc]; len(q) > 0 {
-		s := q[0]
-		copy(q, q[1:])
-		q[len(q)-1] = pendingSend{}
-		l.sendq[vc] = q[:len(q)-1]
+	if l.sendq[vc].Len() > 0 {
+		s := l.sendq[vc].Pop()
 		l.launch(vc, s.pkt, s.onClear)
 	}
 }
@@ -257,7 +245,7 @@ func (l *Link) creditArrive(vc packet.VC) {
 // push hands an arrived packet to the receiver side: it joins the VC's
 // arrival queue and wakes a blocked Recv caller or fires the notify hook.
 func (l *Link) push(vc packet.VC, pkt *packet.Packet) {
-	l.arrived[vc] = append(l.arrived[vc], pkt)
+	l.arrived[vc].Push(pkt)
 	if ws := l.waiters[vc]; len(ws) > 0 {
 		c := ws[0]
 		l.waiters[vc] = ws[1:]
@@ -302,19 +290,16 @@ func (l *Link) Recv(p *sim.Proc, vc packet.VC) *packet.Packet {
 // consumed buffer's credit to the sender. It must be called from the
 // receiver engine's context.
 func (l *Link) TryRecv(vc packet.VC) (*packet.Packet, bool) {
-	q := l.arrived[vc]
-	if len(q) == 0 {
+	if l.arrived[vc].Len() == 0 {
 		return nil, false
 	}
-	pkt := q[0]
-	q[0] = nil
-	l.arrived[vc] = q[1:]
+	pkt := l.arrived[vc].Pop()
 	l.rev.Send(l.cfg.PropDelay, l.creditFn[vc])
 	return pkt, true
 }
 
 // Queued reports the number of arrived-but-unconsumed packets on vc.
-func (l *Link) Queued(vc packet.VC) int { return len(l.arrived[vc]) }
+func (l *Link) Queued(vc packet.VC) int { return l.arrived[vc].Len() }
 
 // SentPackets reports the total packets transmitted.
 func (l *Link) SentPackets() int64 { return l.sentPackets }

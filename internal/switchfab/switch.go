@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"telegraphos/internal/addrspace"
+	"telegraphos/internal/fifo"
 	"telegraphos/internal/link"
 	"telegraphos/internal/packet"
 	"telegraphos/internal/sim"
@@ -222,10 +223,10 @@ type portPipe struct {
 	port int // input port index (for dimension-aware layer rewrites)
 	vc   packet.VC
 
-	routed  []*packet.Packet // route->xmit buffer, cap internalBufPackets
-	held    *packet.Packet   // routed but stalled on a full buffer
-	current *packet.Packet   // packet in the route stage
-	sending bool             // xmit stage waiting for its wire-clear
+	routed  fifo.Ring[*packet.Packet] // route->xmit buffer, at most internalBufPackets
+	held    *packet.Packet            // routed but stalled on a full buffer
+	current *packet.Packet            // packet in the route stage
+	sending bool                      // xmit stage waiting for its wire-clear
 
 	routeDoneFn func() // prebound stage-completion callbacks
 	clearFn     func()
@@ -264,8 +265,8 @@ func (pp *portPipe) intake() {
 func (pp *portPipe) routeDone() {
 	pkt := pp.current
 	pp.current = nil
-	if len(pp.routed) < internalBufPackets {
-		pp.routed = append(pp.routed, pkt)
+	if pp.routed.Len() < internalBufPackets {
+		pp.routed.Push(pkt)
 		pp.xmit()
 		pp.intake()
 	} else {
@@ -279,15 +280,12 @@ func (pp *portPipe) routeDone() {
 // output stage at a time, just as the blocking Send serialized the old
 // xmit process.
 func (pp *portPipe) xmit() {
-	if pp.sending || len(pp.routed) == 0 {
+	if pp.sending || pp.routed.Len() == 0 {
 		return
 	}
-	pkt := pp.routed[0]
-	copy(pp.routed, pp.routed[1:])
-	pp.routed[len(pp.routed)-1] = nil
-	pp.routed = pp.routed[:len(pp.routed)-1]
+	pkt := pp.routed.Pop()
 	if pp.held != nil {
-		pp.routed = append(pp.routed, pp.held)
+		pp.routed.Push(pp.held)
 		pp.held = nil
 		pp.intake()
 	}
