@@ -185,3 +185,50 @@ func TestDefaultConfigSane(t *testing.T) {
 		t.Fatalf("New did not clamp zero config: %+v", l.Config())
 	}
 }
+
+// TestFaultyFrameAllocs gates the ARQ sublayer's per-frame cost: with a
+// jitter-only fault plan, no frame is dropped, duplicated or reordered,
+// so each frame allocates only its arrive closure (the frame crosses to
+// the receiver inside it) and its ack closure (likewise back). Window
+// slots, retransmission timers and the link's queues are reused once
+// they have grown.
+func TestFaultyFrameAllocs(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := testCfg()
+	cfg.Faults = &FaultPlan{Seed: 1, JitterMax: 20}
+	l := New(e, "t", cfg)
+	pkts := make([]*packet.Packet, 64)
+	for i := range pkts {
+		pkts[i] = &packet.Packet{Type: packet.WriteReq, Val: uint64(i)}
+	}
+	received := 0
+	l.SetNotify(packet.VCRequest, func() {
+		for {
+			if _, ok := l.TryRecv(packet.VCRequest); !ok {
+				return
+			}
+			received++
+		}
+	})
+	burst := func() {
+		for _, pkt := range pkts {
+			l.SendEv(pkt, nil)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		burst()
+	}
+	avg := testing.AllocsPerRun(20, burst)
+	if want := 2 * float64(len(pkts)); avg > want {
+		t.Errorf("%.1f allocs per burst of %d frames, want at most %.0f (arrive + ack closure per frame)", avg, len(pkts), want)
+	}
+	if fs := l.FaultStats(); fs.Total() != 0 || fs.Retransmits != 0 {
+		t.Errorf("jitter-only plan injected faults or retransmitted: %+v", fs)
+	}
+	if received != 25*len(pkts) || l.Unacked() != 0 {
+		t.Errorf("received %d of %d frames, %d unacked", received, 25*len(pkts), l.Unacked())
+	}
+}

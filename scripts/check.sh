@@ -39,9 +39,13 @@ go test ./internal/experiments -run TestExperimentsShardInvariant -cpu 1,4 -coun
 # Hot-path allocation budgets: schedule/fire/recycle and Chan.Send must
 # stay at zero allocations per event in steady state, and so must the
 # streaming trace pipeline's ring append + k-way drain + incremental hash.
+# A transient process that reuses an idle coroutine allocates only its
+# Proc and wake closure, and an ARQ frame only its arrive and ack
+# closures.
 echo '== allocation budgets (-cpu 1,4)'
 go test ./internal/sim -run 'Allocs$' -cpu 1,4 -count 1
 go test ./internal/trace -run 'Allocs$' -cpu 1,4 -count 1
+go test ./internal/link -run 'Allocs$' -cpu 1,4 -count 1
 
 # Bounded-memory gate: a long chaos run must keep peak trace residency
 # and the online checker's undecided windows O(window), not O(events),
