@@ -9,7 +9,7 @@ import (
 )
 
 // update rewrites the golden files under testdata from this build.
-var update = flag.Bool("update", false, "rewrite testdata/*.golden.json from this build")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata from this build")
 
 // resultsGolden pins every measured number, series point, and matched
 // row of the full suite at base seed 1 across commits.
