@@ -5,7 +5,6 @@ import (
 
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/consistency"
-	"telegraphos/internal/linearize"
 	"telegraphos/internal/trace"
 )
 
@@ -122,32 +121,6 @@ func (h *harness) checkLinearizable(vs *[]Violation) {
 	}
 	for _, v := range h.olz.FenceViolations() {
 		checkOne(vs, "fence-order", "%v", v)
-	}
-}
-
-// checkAgainstBatch is the differential oracle (Options.BatchTee): the
-// legacy batch pipeline — ShardedLog merge, FromTrace, CheckLocs,
-// CheckFences over the retained trace — must agree with the streaming
-// pipeline on the fingerprint, the event count, and both verdicts.
-func (h *harness) checkAgainstBatch(vs *[]Violation) {
-	legacy := h.slog.Merge()
-	if legacy.Hash() != h.w.Hash() || legacy.Len() != int(h.w.Merged()) {
-		checkOne(vs, "stream-equivalence",
-			"streaming merge (hash %#x, %d events) != legacy batch merge (hash %#x, %d events)",
-			h.w.Hash(), h.w.Merged(), legacy.Hash(), legacy.Len())
-	}
-	hist := linearize.FromTrace(legacy.Events())
-	batchLin := linearize.CheckLocs(hist, h.locs)
-	if (batchLin == nil) != (len(h.olz.Violations()) == 0) {
-		checkOne(vs, "stream-equivalence",
-			"online linearizability verdict (%d violations) disagrees with batch (%v)",
-			len(h.olz.Violations()), batchLin)
-	}
-	batchFence := linearize.CheckFences(hist)
-	if (batchFence == nil) != (len(h.olz.FenceViolations()) == 0) {
-		checkOne(vs, "stream-equivalence",
-			"online fence verdict (%d violations) disagrees with batch (%v)",
-			len(h.olz.FenceViolations()), batchFence)
 	}
 }
 

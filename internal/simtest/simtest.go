@@ -73,11 +73,6 @@ type Options struct {
 	// SpillPath, when non-empty, pages the canonical merged stream to this
 	// TGE1 file as the windows drain (offline replay via `tgtrace events`).
 	SpillPath string
-	// BatchTee additionally records into the legacy ShardedLog and runs
-	// the batch checkers at the end, comparing the streaming pipeline's
-	// hash, event count, and verdicts against them (the differential
-	// oracle; costs O(events) memory, so off by default).
-	BatchTee bool
 }
 
 // Scenario is the full derived description of one chaos run.
@@ -236,10 +231,14 @@ func Run(seed int64, opts Options) (*Result, error) {
 	if opts.OpsPerNode > 0 {
 		sc.OpsPerNode = opts.OpsPerNode
 	}
-	h := build(sc, opts)
-	res := &Result{Scenario: sc}
+	return build(sc, opts).run(), nil
+}
 
-	budget := opts.SimBudget
+// run executes a built scenario to quiescence (or its budget) and checks
+// every invariant.
+func (h *harness) run() *Result {
+	res := &Result{Scenario: h.sc}
+	budget := h.opts.SimBudget
 	if budget <= 0 {
 		budget = 10 * sim.Second
 	}
@@ -274,9 +273,6 @@ func Run(seed int64, opts Options) (*Result, error) {
 		// Only a quiesced run has meaningful final state to check.
 		res.Violations = append(res.Violations, h.checkInvariants()...)
 	}
-	if opts.BatchTee {
-		h.checkAgainstBatch(&res.Violations)
-	}
 
 	res.TraceHash = h.w.Hash()
 	res.Events = int(h.w.Merged())
@@ -291,7 +287,7 @@ func Run(seed int64, opts Options) (*Result, error) {
 	res.PeakResident = h.w.MaxResident()
 	res.PeakWindow = h.olz.Stats().PeakWindow
 	res.Checkpointed = h.checkpointed
-	return res, nil
+	return res
 }
 
 // harness is one built scenario: cluster, regions, and bookkeeping.
@@ -304,7 +300,6 @@ type harness struct {
 	acc  *streamAcc         // invariant accumulator (a trace.Sink)
 	olz  *linearize.Online  // windowed linearizability + fence checker
 	locs map[uint64]bool    // single-copy words the checker is limited to
-	slog *trace.ShardedLog  // legacy tee, only under Options.BatchTee
 	sp   *trace.SpillWriter // TGE1 spill, only under Options.SpillPath
 
 	checkpointed bool
@@ -363,9 +358,6 @@ func (h *harness) attachStream() {
 			h.w.SetSpill(sp)
 		}
 	}
-	if h.opts.BatchTee {
-		h.slog = trace.NewShardedLog(h.sc.Nodes)
-	}
 	h.installRecorders()
 	h.c.Group.SetRoundHook(drainEvery, func(safe sim.Time) {
 		h.w.Drain(int64(safe))
@@ -379,13 +371,7 @@ func (h *harness) attachStream() {
 // called again after a checkpoint restore swaps the log out.
 func (h *harness) installRecorders() {
 	for i, n := range h.c.Nodes {
-		rec := h.w.Recorder(i)
-		if h.slog != nil {
-			stream, tee := rec, h.slog.Recorder(i)
-			rec = func(e trace.Event) { stream(e); tee(e) }
-		}
-		//tgvet:allow tracesink(rec is the windowed ring recorder, optionally teed into the legacy log under Options.BatchTee)
-		n.HIB.SetRecorder(rec)
+		n.HIB.SetRecorder(h.w.Recorder(i))
 	}
 }
 

@@ -7,6 +7,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"telegraphos/internal/linearize"
+	"telegraphos/internal/trace"
 )
 
 // seedFlag replays one specific scenario: the reproducer printed for any
@@ -195,16 +198,34 @@ func TestBrokenCoherenceCaught(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesBatch is the pipeline differential: with the legacy
-// ShardedLog tee enabled, the streaming merge must reproduce the batch
-// merge's fingerprint and event count, and the online linearizability
-// and fence verdicts must agree with the batch checkers — across shard
-// counts (any disagreement surfaces as a stream-equivalence violation
-// inside runSeed).
+// TestStreamMatchesBatch is the checker differential: a retained copy of
+// the canonical merged stream, pushed through the batch checkers
+// (linearize.FromTrace, CheckLocs, CheckFences), must reach the same
+// linearizability and fence verdicts the online checker decided window
+// by window while the run drained — across shard counts.
 func TestStreamMatchesBatch(t *testing.T) {
 	for _, seed := range []int64{0, 1, 2, 3, 5} {
 		for _, shards := range []int{1, 2, 4, 8} {
-			runSeed(t, seed, Options{Shards: shards, BatchTee: true})
+			opts := Options{Shards: shards}
+			h := build(ScenarioFor(seed, opts), opts)
+			log := trace.NewEventLog()
+			h.w.AddSink(log)
+			res := h.run()
+			for _, v := range res.Violations {
+				t.Errorf("seed %d shards=%d: %v", seed, shards, v)
+			}
+			if log.Len() != res.Events {
+				t.Errorf("seed %d shards=%d: sink retained %d of %d merged events", seed, shards, log.Len(), res.Events)
+			}
+			hist := linearize.FromTrace(log.Events())
+			if err := linearize.CheckLocs(hist, h.locs); (err == nil) != (len(h.olz.Violations()) == 0) {
+				t.Errorf("seed %d shards=%d: online linearizability verdict (%d violations) disagrees with batch (%v)",
+					seed, shards, len(h.olz.Violations()), err)
+			}
+			if err := linearize.CheckFences(hist); (err == nil) != (len(h.olz.FenceViolations()) == 0) {
+				t.Errorf("seed %d shards=%d: online fence verdict (%d violations) disagrees with batch (%v)",
+					seed, shards, len(h.olz.FenceViolations()), err)
+			}
 			if t.Failed() {
 				t.Fatalf("seed %d shards=%d diverged", seed, shards)
 			}

@@ -2,13 +2,12 @@ package trace
 
 // Sink consumes the canonical merged event stream one event at a time.
 // The streaming trace pipeline (WindowedLog) feeds each drained event to
-// every attached sink in canonical (At, Node, per-node order) order —
-// exactly the order the legacy batch ShardedLog.Merge produced — so a
-// sink sees the same stream a batch checker would have walked, without
-// the run ever materializing it.
+// every attached sink in canonical (At, Node, per-node order) order, so
+// a sink sees the whole run's stream without the run ever materializing
+// it.
 //
-// *EventLog implements Sink; attaching one retains the full stream (the
-// legacy behaviour) for debugging or batch cross-checks.
+// *EventLog implements Sink; attaching one retains the full stream, for
+// debugging or for the batch checkers the differential tests run.
 type Sink interface {
 	Append(Event)
 }
