@@ -17,7 +17,8 @@
 //	                           # 16–64 nodes × protocol × shard count
 //
 // Exit status 1 on any conformance violation or if a required anomaly
-// witness never appeared.
+// witness never appeared; exit status 2 if -tests names a test the
+// catalog does not have.
 package main
 
 import (
@@ -39,10 +40,12 @@ func main() {
 
 	opts := litmus.SweepOptions{Quick: *quick, Seed: *seed, Verbose: *verbose, Out: os.Stdout}
 	if *tests != "" {
-		opts.Tests = make(map[string]bool)
-		for _, name := range strings.Split(*tests, ",") {
-			opts.Tests[strings.TrimSpace(name)] = true
+		sel, err := parseTests(*tests)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tglitmus: %v\n", err)
+			os.Exit(2)
 		}
+		opts.Tests = sel
 	}
 
 	var res *litmus.SweepResult
@@ -57,4 +60,31 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("PASS")
+}
+
+// parseTests turns the -tests list into a name set. A name the catalog
+// does not have is an error listing the valid names, so a typo or a
+// renamed test cannot make the sweep vacuous.
+func parseTests(list string) (map[string]bool, error) {
+	valid := make(map[string]bool)
+	var names []string
+	for _, t := range litmus.Tests() {
+		valid[t.Name] = true
+		names = append(names, t.Name)
+	}
+	sel := make(map[string]bool)
+	var unknown []string
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if !valid[name] {
+			unknown = append(unknown, fmt.Sprintf("%q", name))
+			continue
+		}
+		sel[name] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown litmus test %s (valid: %s)",
+			strings.Join(unknown, ", "), strings.Join(names, ", "))
+	}
+	return sel, nil
 }
