@@ -18,13 +18,13 @@ package sim
 type eventSlot struct {
 	eng      *Engine
 	when     Time
-	seq      uint64
 	fn       func()
 	gen      uint32
 	canceled bool
 }
 
-// poolChunk is the number of slots allocated per pool growth.
+// poolChunk is the number of slots allocated per pool growth; at 32
+// bytes a slot, one chunk is exactly 4 KiB.
 const poolChunk = 128
 
 // eventPool is an engine's free list of event slots.
