@@ -28,6 +28,12 @@ go test ./...
 echo '== go test -race ./...'
 go test -race ./...
 
+# The benchmark is its own module (perfbench/go.mod), so ./... above
+# skips it. Its tests drive core.AttachTrace, WindowedLog and
+# linearize.Online end to end through the coherent workload.
+echo '== perfbench tests'
+(cd perfbench && go test ./...)
+
 # Sharded-engine determinism: the same workloads must produce the
 # checked-in golden traces and experiment results on 1, 2, 4, and 8
 # shards, with the shard workers packed onto one OS thread and spread
