@@ -48,6 +48,10 @@ func main() {
 	out := flag.String("out", "", "with -pdes or -topo: also write the sweep report as JSON to this file (-pdes adds the throughput floor as <file>.floor)")
 	traceWindow := flag.Int("trace-window", 0, "with -pdes: attach the streaming trace pipeline with this per-node ring capacity (0 = untraced); the report then includes the shard-invariant fingerprint and peak trace residency")
 	flag.Parse()
+	if err := checkFlags(*shards, *traceWindow); err != nil {
+		fmt.Fprintf(os.Stderr, "tgbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	opts := experiments.Options{Seed: *seed, Shards: *shards, TraceWindow: *traceWindow}
 
@@ -160,4 +164,15 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("RESULT: all %d experiments match the paper's shape\n", len(results))
+}
+
+// checkFlags rejects shard counts and trace windows no run can use.
+func checkFlags(shards, traceWindow int) error {
+	if shards < 1 {
+		return fmt.Errorf("-shards %d: need at least 1 shard", shards)
+	}
+	if traceWindow < 0 {
+		return fmt.Errorf("-trace-window %d: want 0 (untraced) or a positive ring capacity", traceWindow)
+	}
+	return nil
 }

@@ -44,6 +44,10 @@ func main() {
 	opsPerNode := flag.Int("ops", 0, "override the per-node op count of every scenario (0 = scenario default)")
 	spill := flag.String("spill", "", "page the canonical merged stream to this TGE1 file (sweeps write <path>.<seed>); inspect with `tgtrace events`")
 	flag.Parse()
+	if err := checkFlags(*shards, *window); err != nil {
+		fmt.Fprintf(os.Stderr, "tgchaos: %v\n", err)
+		os.Exit(2)
+	}
 
 	lo, hi := *start, *start+*seeds
 	if *one >= 0 {
@@ -134,4 +138,15 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("tgchaos: %d scenarios clean\n", hi-lo)
+}
+
+// checkFlags rejects shard counts and trace windows no run can use.
+func checkFlags(shards, window int) error {
+	if shards < 1 {
+		return fmt.Errorf("-shards %d: need at least 1 shard", shards)
+	}
+	if window < 0 {
+		return fmt.Errorf("-window %d: want 0 (the default ring) or a positive ring capacity", window)
+	}
+	return nil
 }

@@ -9,10 +9,16 @@ package experiments
 // reference slower than the recording host gets its floor scaled down
 // proportionally, so the gate catches engine regressions, not slow
 // hardware.
+//
+// The same file records a floor for the 2-shard parallel efficiency of
+// the same workload (see PDESPoint.ParallelEfficiency). Efficiency is a
+// ratio of two wall times on one host, so it needs no speed scaling; it
+// needs two processors, and the gate skips on hosts with fewer.
 
 import (
 	"encoding/json"
 	"os"
+	"sort"
 	"time"
 
 	"telegraphos/internal/sim"
@@ -27,8 +33,12 @@ type ThroughputFloor struct {
 	MinEventsPerSec float64 `json:"min_events_per_sec"`
 	// RefSpinNS is RefSpin's duration on the recording host; check hosts
 	// scale the floor by recorded/measured (clamped to 1).
-	RefSpinNS int64  `json:"ref_spin_ns"`
-	Note      string `json:"note"`
+	RefSpinNS int64 `json:"ref_spin_ns"`
+	// MinParallelEfficiency is the floor for the median 2-shard parallel
+	// efficiency of the workload at efficiencyNodes (0: no efficiency
+	// gate).
+	MinParallelEfficiency float64 `json:"min_parallel_efficiency,omitempty"`
+	Note                  string  `json:"note"`
 }
 
 // floorFraction is the recorded floor as a fraction of the measured
@@ -36,6 +46,13 @@ type ThroughputFloor struct {
 // and CI co-tenancy, tight enough that losing the zero-alloc hot path
 // (which costs well over 2×) still trips the gate.
 const floorFraction = 0.5
+
+// efficiencyFloorFraction is the recorded efficiency floor as a fraction
+// of the recording host's median 2-shard efficiency. On a 2-vCPU host
+// persistent shard workers measured medians of 0.88–1.08 and spawning a
+// goroutine per window per round 0.54–0.60, so 0.7 × a recorded ~1.0
+// passes run-to-run noise and fails a return to spawning.
+const efficiencyFloorFraction = 0.7
 
 // refSpinIters sizes the reference workload (~tens of ms of pure
 // splitmix64 arithmetic — long enough to be stable, short enough for CI).
@@ -60,7 +77,8 @@ func RefSpin() time.Duration {
 
 // FloorFor derives the floor from a freshly measured sweep: a fraction
 // of the slowest single-shard cell, stamped with this host's reference
-// spin.
+// spin, and a fraction of the 2-shard parallel efficiency at
+// efficiencyNodes, measured afresh as the gate measures it.
 func FloorFor(rep *PDESReport) *ThroughputFloor {
 	slowest := 0.0
 	nodes := 0
@@ -73,13 +91,35 @@ func FloorFor(rep *PDESReport) *ThroughputFloor {
 			nodes = p.Nodes
 		}
 	}
+	eff, _ := medianEfficiency(efficiencyNodes, rep.OpsPerNode)
 	return &ThroughputFloor{
-		Nodes:           nodes,
-		OpsPerNode:      rep.OpsPerNode,
-		MinEventsPerSec: slowest * floorFraction,
-		RefSpinNS:       RefSpin().Nanoseconds(),
-		Note:            "single-shard events/sec gate; scaled by ref_spin on slower hosts (scripts/check.sh)",
+		Nodes:                 nodes,
+		OpsPerNode:            rep.OpsPerNode,
+		MinEventsPerSec:       slowest * floorFraction,
+		RefSpinNS:             RefSpin().Nanoseconds(),
+		MinParallelEfficiency: eff * efficiencyFloorFraction,
+		Note:                  "single-shard events/sec gate, scaled by ref_spin on slower hosts; 2-shard parallel-efficiency gate, median of 3, skipped below 2 CPUs (scripts/check.sh)",
 	}
+}
+
+// efficiencyNodes is the node count of the parallel-efficiency gate: the
+// sweep's largest cell, whose rounds are the widest (~842 events), so
+// the gate measures the barrier hand-off rather than round overhead.
+const efficiencyNodes = 64
+
+// medianEfficiency measures the 2-shard parallel efficiency of the PDES
+// workload three times (a 2-shard run, then two 1-shard runs side by
+// side) and returns the median and the three trials in ascending order.
+// One trial is a single pair of wall times and swings with the host's
+// load; the median of three is what the gate and its floor compare.
+func medianEfficiency(nodes, ops int) (median float64, trials [3]float64) {
+	o := Options{Seed: 1, Shards: 2}
+	for i := range trials {
+		two := pdesRun(o, nodes, ops)
+		trials[i] = pdesEfficiency(pdesPair(o, nodes, ops), two.wall)
+	}
+	sort.Float64s(trials[:])
+	return trials[1], trials
 }
 
 // WriteFloor serializes the floor to path.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"os"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -27,8 +28,8 @@ func BenchmarkPDESThroughputFloor(b *testing.B) {
 	best := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wall, events, _, _, _ := pdesRun(Options{Seed: 1}, floor.Nodes, floor.OpsPerNode)
-		if evps := float64(events) / wall.Seconds(); evps > best {
+		r := pdesRun(Options{Seed: 1}, floor.Nodes, floor.OpsPerNode)
+		if evps := float64(r.events) / r.wall.Seconds(); evps > best {
 			best = evps
 		}
 	}
@@ -37,6 +38,41 @@ func BenchmarkPDESThroughputFloor(b *testing.B) {
 		b.Fatalf("single-shard throughput regressed: best %.0f events/sec < floor %.0f (recorded %.0f, slow-host scaled)",
 			best, scaled, floor.MinEventsPerSec)
 	}
+}
+
+// BenchmarkPDESParallelEfficiency is the CI parallel-efficiency gate
+// scripts/check.sh runs (with -benchtime 1x): it measures the workload
+// at efficiencyNodes on 2 shards and as two 1-shard runs side by side,
+// three times, and fails if the median efficiency is below the recorded
+// floor.
+// It skips on a host with fewer than 2 CPUs or GOMAXPROCS below 2, where
+// two shards cannot run at once.
+func BenchmarkPDESParallelEfficiency(b *testing.B) {
+	floor, err := ReadFloor(floorPath)
+	if err != nil {
+		if os.IsNotExist(err) {
+			b.Skipf("no recorded floor at %s (run `make bench`)", floorPath)
+		}
+		b.Fatalf("reading floor: %v", err)
+	}
+	if floor.MinParallelEfficiency == 0 {
+		b.Skipf("no parallel-efficiency floor in %s (run `make bench`)", floorPath)
+	}
+	if cpus, procs := runtime.NumCPU(), runtime.GOMAXPROCS(0); cpus < 2 || procs < 2 {
+		b.Skipf("parallel-efficiency gate skipped: %d CPUs, GOMAXPROCS=%d (needs 2 of each)", cpus, procs)
+	}
+	var median float64
+	var trials [3]float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		median, trials = medianEfficiency(efficiencyNodes, floor.OpsPerNode)
+	}
+	b.ReportMetric(median, "efficiency")
+	if median < floor.MinParallelEfficiency {
+		b.Fatalf("2-shard parallel efficiency regressed: median of %.2f < floor %.2f",
+			trials, floor.MinParallelEfficiency)
+	}
+	b.Logf("2-shard parallel efficiency: median of %.2f is %.2f (floor %.2f)", trials, median, floor.MinParallelEfficiency)
 }
 
 // TestFloorScaling pins the slow-host guard arithmetic.
@@ -59,7 +95,7 @@ func TestFloorScaling(t *testing.T) {
 // TestFloorRoundTrip pins the floor file format.
 func TestFloorRoundTrip(t *testing.T) {
 	path := t.TempDir() + "/floor.json"
-	want := &ThroughputFloor{Nodes: 8, OpsPerNode: 1500, MinEventsPerSec: 2.5e6, RefSpinNS: 42, Note: "x"}
+	want := &ThroughputFloor{Nodes: 8, OpsPerNode: 1500, MinEventsPerSec: 2.5e6, RefSpinNS: 42, MinParallelEfficiency: 0.8, Note: "x"}
 	if err := WriteFloor(path, want); err != nil {
 		t.Fatal(err)
 	}

@@ -231,3 +231,42 @@ func BenchmarkSpawn(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// TestParallelRoundAllocs gates the parallel barrier: a warmed Run whose
+// rounds run on the shard workers allocates nothing — not per round, and
+// not to start and end the workers.
+func TestParallelRoundAllocs(t *testing.T) {
+	g := NewGroup(1, 4)
+	var stop Time
+	var tickers []func()
+	for i := 0; i < g.Shards(); i++ {
+		e := g.Shard(i)
+		NewChan(e, g.Shard((i+1)%g.Shards()), 10)
+		// Eight tickers a shard put 80 items in every 10 ns window, above
+		// seqRoundWork, so every round after the first runs in parallel.
+		for k := 0; k < 8; k++ {
+			var tick func()
+			tick = func() {
+				if e.Now() < stop {
+					e.Schedule(1, tick)
+				}
+			}
+			tickers = append(tickers, tick)
+		}
+	}
+	run := func() {
+		stop = g.Now() + 200
+		for k, tick := range tickers {
+			g.Shard(k/8).Schedule(0, tick)
+		}
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm-up: pool, heaps, round scratch and the workers themselves
+	_, before := g.Rounds()
+	measureAllocs(t, "parallel rounds", run)
+	if _, after := g.Rounds(); after-before < 100*15 {
+		t.Fatalf("%d parallel rounds in 101 runs, want at least 15 a run", after-before)
+	}
+}

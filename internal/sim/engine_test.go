@@ -191,8 +191,9 @@ func TestProcPanicPropagates(t *testing.T) {
 // control returns to the engine rather than ending the goroutine that
 // resumed the process. The group arms keep both shards busy past
 // seqRoundWork events per round, so rounds run in parallel: shard 0's
-// windows — and the wake that resumes a process there — run on a worker
-// goroutine, shard 1's on the goroutine that called Run.
+// windows — and the wake that resumes a process there — run on a shard
+// worker unless the goroutine that called Run, done with shard 1's,
+// takes them first.
 func TestProcGoexitFails(t *testing.T) {
 	check := func(t *testing.T, err error) {
 		t.Helper()
@@ -312,6 +313,17 @@ func TestRunReleasesIdleCoroutines(t *testing.T) {
 // idleCoroutines counts the goroutines parked as idle process coroutines:
 // those in a coroutine's run loop with no process body on their stack.
 func idleCoroutines() int {
+	idle := 0
+	for _, g := range goroutineStacks() {
+		if strings.Contains(g, "sim.(*Engine).newCoro") && !strings.Contains(g, "sim.(*Proc).run") {
+			idle++
+		}
+	}
+	return idle
+}
+
+// goroutineStacks returns the stack trace of every goroutine, one each.
+func goroutineStacks() []string {
 	buf := make([]byte, 1<<20)
 	for {
 		n := runtime.Stack(buf, true)
@@ -321,13 +333,7 @@ func idleCoroutines() int {
 		}
 		buf = make([]byte, 2*len(buf))
 	}
-	idle := 0
-	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "sim.(*Engine).newCoro") && !strings.Contains(g, "sim.(*Proc).run") {
-			idle++
-		}
-	}
-	return idle
+	return strings.Split(string(buf), "\n\n")
 }
 
 func TestCompletion(t *testing.T) {

@@ -11,17 +11,20 @@
 //
 // because any message a source generates in its own window carries a
 // timestamp >= next(src) + minDelay. Shards run their windows
-// concurrently on goroutines, then meet at a barrier where staged
-// messages are flushed into destination inboxes and the next round's
-// caps are computed (a YAWNS/LBTS-style synchronization).
+// concurrently on persistent worker goroutines, then meet at a barrier
+// where staged messages are flushed into destination inboxes and the
+// next round's caps are computed (a YAWNS/LBTS-style synchronization).
 //
 // Cross-shard sends are staged per (source, destination) shard pair and
 // handed over as whole slices at the barrier — one inbox absorb per pair
 // per round instead of a heap push per message — mirroring how the
 // paper's NIC-based barriers amortize synchronization over many
-// operations. Rounds that execute little work skip the worker-goroutine
-// spawn entirely and run their windows inline, so fine-grained phases do
-// not pay scheduler overhead per round.
+// operations. The barrier itself polls rather than sleeps: a worker
+// spins on its round counter, then yields, and parks on a channel only
+// when rounds stop coming (see parker), so back-to-back parallel rounds
+// hand over without an OS wake-up. Rounds that execute little work skip
+// the worker hand-off entirely and run their windows inline, so
+// fine-grained phases do not pay even that per round.
 //
 // Determinism does not depend on the schedule: messages are ordered by
 // (time, channel id, channel sequence) — build-time identities — and at
@@ -31,7 +34,8 @@ package sim
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
+	"sync/atomic"
 )
 
 // Group is a set of engines (shards) advancing one simulation together.
@@ -52,12 +56,31 @@ type Group struct {
 	distDirty bool
 
 	// Per-round scratch, reused across rounds to keep the barrier loop
-	// allocation-free. The WaitGroup lives here rather than on RunUntil's
-	// stack because the worker closures capture it, which would otherwise
-	// heap-allocate it once per RunUntil call.
+	// allocation-free.
 	next     []Time
 	runnable []window
-	wg       sync.WaitGroup
+
+	// workers run the windows of a parallel round but the last, which
+	// the scheduler runs itself. They are built once, started at the
+	// first parallel round of a RunUntil call and ended before it returns
+	// (stopWorkers). To post a round the scheduler publishes the windows
+	// in runnable, resets claim and bumps round; a worker takes a window
+	// by incrementing claim, and so does the scheduler once its own
+	// window is done, so no window waits for a worker that is not on a
+	// processor. pending counts the posted windows not yet finished, and
+	// whoever finishes the last unparks done, where the scheduler waits.
+	workers  []*shardWorker
+	running  bool
+	deadline Time          // of the running RunUntil, for the workers
+	round    atomic.Uint64 // bumped to post a round or the exit order
+	claim    atomic.Uint64 // windows<<32 | windows taken
+	pending  atomic.Int32  // unfinished windows; during stopWorkers, live workers
+	quit     atomic.Bool   // the posted round is the exit order
+	done     parker
+
+	// rounds counts barrier rounds that ran at least one window, and
+	// parallelRounds those of them that ran on workers (see Rounds).
+	rounds, parallelRounds uint64
 
 	// critPath accumulates, over all barrier rounds, the largest number
 	// of work items any single shard executed in that round: the length
@@ -79,11 +102,28 @@ const infTime = Time(1) << 60
 
 // seqRoundWork is the adaptive-round threshold: when the previous round's
 // heaviest shard executed fewer work items than this, the next round runs
-// its windows inline on the scheduler goroutine instead of spawning
-// workers. Spawning plus barrier wake-ups costs a few microseconds; a
-// round this light finishes faster than the spawn, and fine-grained
-// phases (lockstep barriers, drain tails) hit this continuously.
+// its windows inline on the scheduler goroutine instead of handing them
+// to the workers. A hand-off costs a round trip through two atomics even
+// when the workers are spinning, and an OS wake-up per worker once they
+// have parked; a round this light finishes faster than that, and
+// fine-grained phases (lockstep barriers, drain tails) hit this
+// continuously.
 const seqRoundWork = 64
+
+// Spin budgets of a barrier wait (parker.wait): poll the condition
+// spinPolls times, then yield the processor between polls until
+// yieldPolls, then park. The yield phase must outlast the gap between two
+// parallel rounds even when one goroutine runs both windows: a worker
+// that parks then needs an OS wake-up per round, starts late, so the
+// scheduler runs its window too, and the next gap is longer still. On a
+// 2-vCPU host 600 polls let a 16- or 32-node PDES run fall into that
+// loop now and then (1.5–2× slower); 5000 (~0.5–1 ms) did not in 16
+// sweeps. The price is CPU: when another process takes one of the two
+// processors, a yielding worker shares the other with the scheduler.
+const (
+	spinPolls  = 64
+	yieldPolls = 5000
+)
 
 // NewGroup returns a group of `shards` engines. Shard i's random source
 // is seeded with seed+i; NewGroup(seed, 1) is equivalent to
@@ -182,6 +222,13 @@ func (g *Group) CritPath() uint64 {
 	return g.critPath
 }
 
+// Rounds reports the barrier rounds the group has run, and how many of
+// them ran their windows in parallel on worker goroutines rather than
+// inline (see seqRoundWork). A single-shard group has no rounds.
+func (g *Group) Rounds() (rounds, parallel uint64) {
+	return g.rounds, g.parallelRounds
+}
+
 // Stop halts every shard; Run returns at the end of the current round.
 func (g *Group) Stop() {
 	for _, e := range g.engines {
@@ -200,6 +247,7 @@ func (g *Group) RunUntil(deadline Time) error {
 		return g.engines[0].RunUntil(deadline)
 	}
 	defer func() {
+		g.stopWorkers()
 		for _, e := range g.engines {
 			e.releaseIdle()
 		}
@@ -263,13 +311,14 @@ func (g *Group) RunUntil(deadline Time) error {
 			}
 			runnable = append(runnable, window{e: e, cap: cap})
 		}
-		g.runnable = runnable[:0]
+		g.runnable = runnable
 		if len(runnable) == 0 {
 			break // nothing runnable below the deadline
 		}
 		for i := range runnable {
 			runnable[i].execBefore = runnable[i].e.executed
 		}
+		g.rounds++
 		if lastRoundMax < seqRoundWork || len(runnable) == 1 {
 			// Light round (or only one shard has work): run every window
 			// inline. Shards still execute in disjoint windows separated by
@@ -279,24 +328,24 @@ func (g *Group) RunUntil(deadline Time) error {
 				g.runShielded(w.e, w.cap, deadline)
 			}
 		} else {
-			// Run all but one window on worker goroutines and the last on
-			// this goroutine: it saves a spawn.
-			for _, w := range runnable[:len(runnable)-1] {
-				g.wg.Add(1)
-				//tgvet:allow shardlocal(the round scheduler itself: workers run disjoint shards and join at the barrier before any state is shared)
-				go func(e *Engine, cap Time) {
-					defer g.wg.Done()
-					defer func() {
-						if r := recover(); r != nil {
-							e.fail("event", r)
-						}
-					}()
-					e.runWindow(cap, deadline)
-				}(w.e, w.cap)
-			}
+			// Post all windows but the last to the workers and run the
+			// last here. Then take any posted window no worker has taken
+			// yet, and wait for the ones they did.
+			g.parallelRounds++
+			g.startWorkers(deadline)
+			g.postRound(len(runnable) - 1)
 			last := runnable[len(runnable)-1]
 			g.runShielded(last.e, last.cap, deadline)
-			g.wg.Wait()
+			if c := g.claim.Load(); uint32(c) < uint32(c>>32) {
+				// A window is still untaken. A worker that was just
+				// unparked may be queued behind this goroutine on its
+				// processor, and this goroutine would never block to
+				// let it run: yield once first, or every later round
+				// runs sequentially too.
+				runtime.Gosched()
+			}
+			g.runClaimed(nil)
+			g.done.wait(g.idle)
 		}
 		var maxDelta uint64
 		for _, w := range runnable {
@@ -330,15 +379,192 @@ func (g *Group) RunUntil(deadline Time) error {
 	return nil
 }
 
-// runShielded runs one shard's window on the scheduler goroutine with the
-// same panic-to-failure conversion the worker goroutines apply.
+// runShielded runs one shard's window and turns a panic in it into the
+// shard's failure. A window that ends in runtime.Goexit fails the shard
+// too, though the Goexit still ends the goroutine that ran it.
 func (g *Group) runShielded(e *Engine, cap, deadline Time) {
+	returned := false
 	defer func() {
+		if returned {
+			return
+		}
 		if r := recover(); r != nil {
 			e.fail("event", r)
+		} else {
+			e.failGoexit("event")
 		}
 	}()
 	e.runWindow(cap, deadline)
+	returned = true
+}
+
+// idle reports whether every window of the posted round has finished.
+func (g *Group) idle() bool { return g.pending.Load() == 0 }
+
+// shardWorker is a persistent goroutine that helps run parallel rounds.
+type shardWorker struct {
+	g      *Group
+	seen   uint64 // the last round the worker saw posted (worker-owned)
+	gone   bool   // a window ended the worker in runtime.Goexit
+	park   parker
+	loopFn func() // prebound loop, so starting the worker allocates nothing
+}
+
+// startWorkers starts the group's workers if they are not running.
+func (g *Group) startWorkers(deadline Time) {
+	if g.running {
+		return
+	}
+	if g.workers == nil {
+		g.workers = make([]*shardWorker, len(g.engines)-1)
+		g.done.wake = make(chan struct{}, 1)
+		for k := range g.workers {
+			w := &shardWorker{g: g}
+			w.park.wake = make(chan struct{}, 1)
+			w.loopFn = w.loop
+			g.workers[k] = w
+		}
+	}
+	g.deadline = deadline
+	g.quit.Store(false)
+	for _, w := range g.workers {
+		w.gone = false
+		w.seen = g.round.Load()
+		//tgvet:allow shardlocal(the round scheduler's workers: they run disjoint shards, meet at the barrier before any state is shared, and end before RunUntil returns)
+		go w.loopFn()
+	}
+	g.running = true
+}
+
+// postRound publishes the first n windows of g.runnable to the workers
+// and wakes as many as there are windows.
+func (g *Group) postRound(n int) {
+	g.pending.Store(int32(n))
+	g.claim.Store(uint64(n) << 32)
+	g.round.Add(1)
+	for _, w := range g.workers[:n] {
+		w.park.unpark()
+	}
+}
+
+// runClaimed takes and runs windows of the posted round until none is
+// left; w is the worker calling it, nil for the scheduler. A worker that
+// saw an earlier round may get here late: claim then reports every
+// window taken, or hands it a window of the current round, which it may
+// run as well as anyone.
+func (g *Group) runClaimed(w *shardWorker) {
+	for {
+		c := g.claim.Add(1)
+		k, n := uint32(c)-1, uint32(c>>32)
+		if k >= n {
+			return
+		}
+		g.runPosted(w, g.runnable[k])
+	}
+}
+
+// runPosted runs one posted window and reports it finished, also when
+// it ends in runtime.Goexit. The Goexit goes on to end the calling
+// goroutine, so a worker is first marked gone: the recorded failure ends
+// the run at the barrier, and stopWorkers does not wait for it.
+func (g *Group) runPosted(w *shardWorker, win window) {
+	returned := false
+	defer func() {
+		if !returned && w != nil {
+			w.gone = true
+		}
+		g.windowDone()
+	}()
+	g.runShielded(win.e, win.cap, g.deadline)
+	returned = true
+}
+
+// windowDone reports one window finished (or, during stopWorkers, one
+// worker ended), unparking the scheduler when it was the last.
+func (g *Group) windowDone() {
+	if g.pending.Add(-1) == 0 {
+		g.done.unpark()
+	}
+}
+
+// stopWorkers ends the workers, if running, and returns once every one
+// has taken its exit order. It first waits out the current round, which
+// is still running when a Goexit unwinds the scheduler mid-round.
+func (g *Group) stopWorkers() {
+	if !g.running {
+		return
+	}
+	g.done.wait(g.idle)
+	live := int32(0)
+	for _, w := range g.workers {
+		if !w.gone {
+			live++
+		}
+	}
+	g.pending.Store(live)
+	g.claim.Store(0)
+	g.quit.Store(true)
+	g.round.Add(1)
+	for _, w := range g.workers {
+		w.park.unpark()
+	}
+	g.done.wait(g.idle)
+	g.running = false
+}
+
+// posted reports whether a round the worker has not seen is posted.
+func (w *shardWorker) posted() bool { return w.g.round.Load() != w.seen }
+
+// loop is the worker goroutine: wait for a round, take windows, until
+// told to exit.
+func (w *shardWorker) loop() {
+	g := w.g
+	for {
+		w.park.wait(w.posted)
+		w.seen = g.round.Load()
+		if g.quit.Load() {
+			g.windowDone()
+			return
+		}
+		g.runClaimed(w)
+	}
+}
+
+// parker is one goroutine's wait for a condition another goroutine makes
+// true: spin, then yield, then sleep on wake. The sleeping flag closes
+// the lost-wake-up race. The waiter sets it before its last check of the
+// condition, and the waker reads it after making the condition true, so
+// at least one of them sees the other. Whichever clears the flag
+// claims the wake-up: if the waker does, it sends one token, which the
+// waiter always takes.
+type parker struct {
+	sleeping atomic.Bool
+	wake     chan struct{} // capacity 1: unpark never blocks
+}
+
+// wait returns once ready reports true.
+func (p *parker) wait(ready func() bool) {
+	for i := 0; !ready(); i++ {
+		switch {
+		case i < spinPolls:
+		case i < yieldPolls:
+			runtime.Gosched()
+		default:
+			p.sleeping.Store(true)
+			if ready() && p.sleeping.CompareAndSwap(true, false) {
+				return
+			}
+			<-p.wake
+		}
+	}
+}
+
+// unpark wakes the waiter if it sleeps; call it after making the
+// waiter's condition true.
+func (p *parker) unpark() {
+	if p.sleeping.Load() && p.sleeping.CompareAndSwap(true, false) {
+		p.wake <- struct{}{}
+	}
 }
 
 // window pairs a shard with its safe horizon for one round.

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestCancelCompaction proves canceled events are reclaimed: after
@@ -152,9 +155,13 @@ func TestGroupRelayLookahead(t *testing.T) {
 
 // TestGroupDeterministicAcrossShardCounts: one logical system — a ring of
 // four stations ping-ponging timestamped work — produces the same
-// canonical event stream on 1, 2, and 4 shards. Each station logs only
+// canonical event stream on 1, 2, 4 and 8 shards. Each station logs only
 // from its own shard; the per-station streams are merged by (time,
 // station), mirroring how trace.WindowedLog defines the canonical order.
+// Every shard also runs silent filler work heavy enough that most rounds
+// run in parallel on the shard workers; scripts/check.sh runs the test
+// at -cpu 1 too, where seven spinning workers share one P with the
+// scheduler.
 func TestGroupDeterministicAcrossShardCounts(t *testing.T) {
 	type entry struct {
 		at      int64
@@ -185,8 +192,14 @@ func TestGroupDeterministicAcrossShardCounts(t *testing.T) {
 			i := i
 			engs[i].Schedule(Time(1+i), hop(i, 10))
 		}
+		for i := 0; i < shards; i++ {
+			addFiller(g.Shard(i), 32, 100)
+		}
 		if err := g.Run(); err != nil {
 			t.Fatal(err)
+		}
+		if _, par := g.Rounds(); shards > 1 && par == 0 {
+			t.Fatalf("shards=%d: no round ran in parallel", shards)
 		}
 		var merged []entry
 		for _, l := range logs {
@@ -196,7 +209,7 @@ func TestGroupDeterministicAcrossShardCounts(t *testing.T) {
 		return fmt.Sprint(merged)
 	}
 	want := run(1)
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{2, 4, 8} {
 		if got := run(shards); got != want {
 			t.Fatalf("shards=%d schedule differs:\n got %s\nwant %s", shards, got, want)
 		}
@@ -232,5 +245,174 @@ func TestGroupStallDetection(t *testing.T) {
 	err := g.Run()
 	if err == nil {
 		t.Fatal("expected ErrStalled, got nil")
+	}
+}
+
+// addFiller gives e n tickers that each fire every nanosecond until
+// until: silent work that makes a group's rounds heavy enough to run in
+// parallel (n well above seqRoundWork divided by the window width).
+func addFiller(e *Engine, n int, until Time) {
+	for k := 0; k < n; k++ {
+		var tick func()
+		tick = func() {
+			if e.Now() < until {
+				e.Schedule(1, tick)
+			}
+		}
+		e.Schedule(0, tick)
+	}
+}
+
+// busyGroup returns a group of shards engines on a ring of 10 ns
+// channels, each with 16 filler tickers until the given time: every
+// round after the first runs in parallel on the shard workers.
+func busyGroup(shards int, until Time) *Group {
+	g := NewGroup(1, shards)
+	for i := 0; i < shards; i++ {
+		NewChan(g.Shard(i), g.Shard((i+1)%shards), 10)
+		addFiller(g.Shard(i), 16, until)
+	}
+	return g
+}
+
+// shardWorkers counts the goroutines running a shard worker's loop.
+func shardWorkers() int {
+	n := 0
+	for _, g := range goroutineStacks() {
+		if strings.Contains(g, "sim.(*shardWorker).loop") {
+			n++
+		}
+	}
+	return n
+}
+
+// assertNoShardWorkers fails t unless every shard worker has ended. A
+// worker's last act is to report its exit at the barrier, after which
+// it still has to return, so the count is polled for a short while.
+func assertNoShardWorkers(t *testing.T) {
+	t.Helper()
+	for i := 0; ; i++ {
+		n := shardWorkers()
+		if n == 0 {
+			return
+		}
+		if i == 1000 {
+			t.Fatalf("%d shard worker goroutines outlived the run", n)
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunReleasesShardWorkers: the shard workers start at the first
+// parallel round of a run and end before it returns, however it ends:
+// drained, at a deadline, stopped, or failed by a process panic on a
+// shard a worker runs. Like TestRunReleasesIdleCoroutines it counts the
+// workers by their stacks, not with runtime.NumGoroutine.
+func TestRunReleasesShardWorkers(t *testing.T) {
+	const until = 2000
+	ran := func(t *testing.T, g *Group) {
+		t.Helper()
+		if _, par := g.Rounds(); par == 0 {
+			t.Fatal("no round ran in parallel: the workers never started")
+		}
+		assertNoShardWorkers(t)
+	}
+	t.Run("drain", func(t *testing.T) {
+		g := busyGroup(4, until)
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		ran(t, g)
+	})
+	t.Run("deadline", func(t *testing.T) {
+		g := busyGroup(4, until)
+		if err := g.RunUntil(until / 2); err != nil {
+			t.Fatal(err)
+		}
+		if g.Pending() == 0 {
+			t.Fatal("RunUntil(deadline) drained the run")
+		}
+		ran(t, g)
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		ran(t, g)
+	})
+	t.Run("stop", func(t *testing.T) {
+		g := busyGroup(4, until)
+		e := g.Shard(0)
+		e.Schedule(until/2, e.Stop)
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if g.Now() >= until {
+			t.Fatalf("stopped run reached t=%d", g.Now())
+		}
+		ran(t, g)
+	})
+	t.Run("panic", func(t *testing.T) {
+		g := busyGroup(4, until)
+		g.Shard(0).Spawn("crasher", func(p *Proc) {
+			p.Sleep(until / 2)
+			panic("crash")
+		})
+		if err := g.Run(); err == nil || !strings.Contains(err.Error(), "crash") {
+			t.Fatalf("Run() = %v, want the process panic", err)
+		}
+		ran(t, g)
+	})
+}
+
+// TestGroupEventFailureInParallelRound: an event callback that panics,
+// or calls runtime.Goexit, in a parallel round fails the run at the
+// barrier without leaving the scheduler waiting on the round's pending
+// count, and a fresh group runs normally afterwards. The failing shard
+// is shard 0, whose windows a worker runs unless the scheduler, done
+// with the last window, takes them first. A Goexit ends whichever
+// goroutine ran the window, so that arm runs the group on a goroutine of
+// its own and reads the failure off the shard when Run does not return.
+func TestGroupEventFailureInParallelRound(t *testing.T) {
+	const until = 2000
+	for _, shards := range []int{2, 8} {
+		t.Run(fmt.Sprintf("panic/shards=%d", shards), func(t *testing.T) {
+			g := busyGroup(shards, until)
+			g.Shard(0).Schedule(until/2, func() { panic("boom") })
+			if err := g.RunUntil(-1); err == nil || !strings.Contains(err.Error(), "boom") {
+				t.Fatalf("RunUntil() = %v, want the event panic", err)
+			}
+			if _, par := g.Rounds(); par == 0 {
+				t.Fatal("no round ran in parallel")
+			}
+			assertNoShardWorkers(t)
+			fresh := busyGroup(shards, until)
+			if err := fresh.RunUntil(-1); err != nil {
+				t.Fatalf("fresh group after a failed run: %v", err)
+			}
+		})
+		t.Run(fmt.Sprintf("goexit/shards=%d", shards), func(t *testing.T) {
+			g := busyGroup(shards, until)
+			g.Shard(0).Schedule(until/2, runtime.Goexit)
+			done := make(chan error, 1)
+			go func() {
+				returned := false
+				defer func() {
+					if !returned {
+						done <- g.failureOrStopped()
+					}
+				}()
+				err := g.Run()
+				returned = true
+				done <- err
+			}()
+			if err := <-done; err == nil || !strings.Contains(err.Error(), "Goexit") {
+				t.Fatalf("Run() = %v, want the Goexit failure", err)
+			}
+			assertNoShardWorkers(t)
+			fresh := busyGroup(shards, until)
+			if err := fresh.RunUntil(-1); err != nil {
+				t.Fatalf("fresh group after a failed run: %v", err)
+			}
+		})
 	}
 }

@@ -37,8 +37,10 @@ echo '== perfbench tests'
 # Sharded-engine determinism: the same workloads must produce the
 # checked-in golden traces and experiment results on 1, 2, 4, and 8
 # shards, with the shard workers packed onto one OS thread and spread
-# across four.
+# across four. At -cpu 1 the sim test's seven spinning 8-shard workers
+# share one P with the round scheduler, which must still finish.
 echo '== shard determinism (-cpu 1,4)'
+go test ./internal/sim -run TestGroupDeterministicAcrossShardCounts -cpu 1,4 -count 1
 go test ./internal/simtest -run TestShardInvariantTraceHash -cpu 1,4 -count 1
 go test ./internal/experiments -run TestExperimentsShardInvariant -cpu 1,4 -count 1
 
@@ -67,6 +69,14 @@ go run ./cmd/tgchaos -seeds 5 -checkpoint -window 512
 # host, so this catches engine regressions, not slow CI hardware.
 echo '== PDES throughput floor'
 go test ./internal/experiments -run '^$' -bench BenchmarkPDESThroughputFloor -benchtime 3x -count 1
+
+# Parallel-efficiency floor: the same 64-node workload on 2 shards
+# against two 1-shard runs side by side in one process, median of 3
+# trials, must stay above min_parallel_efficiency in BENCH_pdes.floor.
+# Skips, and says so, on a host with fewer than 2 CPUs or GOMAXPROCS
+# below 2.
+echo '== PDES 2-shard parallel efficiency'
+go test ./internal/experiments -run '^$' -bench BenchmarkPDESParallelEfficiency -benchtime 1x -count 1 -v
 
 echo '== tgchaos 2-shard smoke'
 go run ./cmd/tgchaos -seeds 10 -shards 2
