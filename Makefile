@@ -54,8 +54,8 @@ bench:
 	$(GO) run ./cmd/tgbench
 	$(GO) run ./cmd/tgbench -pdes -out BENCH_pdes.json
 
-# Short fuzz pass over the wire-format, address-space and checkpoint
-# targets.
+# Short fuzz pass over the wire-format, address-space, trace-file and
+# checkpoint targets.
 fuzz:
 	$(GO) test ./internal/packet -fuzz FuzzEncodeDecode -fuzztime 10s
 	$(GO) test ./internal/addrspace -fuzz FuzzAddrRoundTrips -fuzztime 10s
@@ -64,3 +64,4 @@ fuzz:
 	$(GO) test ./internal/switchfab -fuzz FuzzMergeSplit -fuzztime 10s
 	$(GO) test ./internal/topology -fuzz FuzzRoute -fuzztime 15s
 	$(GO) test ./internal/trace -fuzz FuzzCheckpoint -fuzztime 10s
+	$(GO) test ./internal/trace -fuzz FuzzTraceRead -fuzztime 10s

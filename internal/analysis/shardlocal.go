@@ -31,17 +31,17 @@ var AnalyzerShardLocal = &Analyzer{
 
 // shardlocalBlocking are the methods that can park the calling process.
 var shardlocalBlocking = map[string]string{
-	"telegraphos/internal/sim.Queue.Put":        "Queue.Put",
-	"telegraphos/internal/sim.Queue.Get":        "Queue.Get",
-	"telegraphos/internal/sim.Semaphore.Acquire": "Semaphore.Acquire",
-	"telegraphos/internal/sim.Mutex.Lock":       "Mutex.Lock",
-	"telegraphos/internal/sim.Completion.Wait":  "Completion.Wait",
-	"telegraphos/internal/sim.Future.Wait":      "Future.Wait",
-	"telegraphos/internal/sim.Proc.Sleep":       "Proc.Sleep",
-	"telegraphos/internal/sim.Proc.Yield":       "Proc.Yield",
-	"telegraphos/internal/hib.HIB.Post":             "HIB.Post",
-	"telegraphos/internal/hib.HIB.Fence":            "HIB.Fence",
-	"telegraphos/internal/hib.HIB.WaitOutstanding":  "HIB.WaitOutstanding",
+	"telegraphos/internal/sim.Queue.Put":           "Queue.Put",
+	"telegraphos/internal/sim.Queue.Get":           "Queue.Get",
+	"telegraphos/internal/sim.Semaphore.Acquire":   "Semaphore.Acquire",
+	"telegraphos/internal/sim.Mutex.Lock":          "Mutex.Lock",
+	"telegraphos/internal/sim.Completion.Wait":     "Completion.Wait",
+	"telegraphos/internal/sim.Future.Wait":         "Future.Wait",
+	"telegraphos/internal/sim.Proc.Sleep":          "Proc.Sleep",
+	"telegraphos/internal/sim.Proc.Yield":          "Proc.Yield",
+	"telegraphos/internal/hib.HIB.Post":            "HIB.Post",
+	"telegraphos/internal/hib.HIB.Fence":           "HIB.Fence",
+	"telegraphos/internal/hib.HIB.WaitOutstanding": "HIB.WaitOutstanding",
 }
 
 // shardlocalCallbacks maps scheduling entry points to the index of

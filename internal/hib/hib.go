@@ -34,7 +34,7 @@ import (
 )
 
 // Coherence is the hook a memory-coherence protocol installs on the HIB.
-// Both methods run in simulation-process context and report whether they
+// Each method runs in simulation-process context and reports whether it
 // fully handled the access (true) or whether the HIB's default behaviour
 // should proceed (false).
 type Coherence interface {
@@ -45,8 +45,8 @@ type Coherence interface {
 	// region; handled=false lets the plain MPM read proceed (the
 	// counter protocol's rule 4: "the read proceeds normally").
 	LocalSharedRead(p *sim.Proc, offset uint64) (v uint64, handled bool)
-	// IncomingPacket intercepts a received packet before default
-	// handling.
+	// IncomingPacket intercepts every received packet before default
+	// handling, in the transient process HIB.service spawns for it.
 	IncomingPacket(p *sim.Proc, pkt *packet.Packet) bool
 }
 
@@ -87,11 +87,10 @@ type HIB struct {
 	// Receive side: one pump per VC, driven by link arrival
 	// notifications. Packets serialize through the board — HIBService,
 	// then the handler's memory timing — with the pump's busy flag
-	// providing the same one-at-a-time discipline the old receiver
-	// daemons enforced (the property that makes the home node a
-	// serialization point). Simple packets are serviced by chained
-	// events; coherence traffic and multi-step operations fall back to a
-	// transient process running the original blocking handlers.
+	// holding each VC to one packet at a time (the property that makes
+	// the home node a serialization point). Every packet then takes one
+	// service path (see HIB.service): chained events, with a transient
+	// process only for the steps that block.
 	rxBusy  [packet.NumVCs]bool
 	rxCur   [packet.NumVCs]*packet.Packet
 	rxSvcFn [packet.NumVCs]func()
@@ -155,7 +154,8 @@ type HIB struct {
 	cMulticastWrite   *int64
 }
 
-// New builds the HIB for node and starts its sender/receiver processes.
+// New builds the HIB for node and registers its event-driven transmit and
+// receive pumps with the network.
 func New(eng *sim.Engine, node addrspace.NodeID, net *topology.Network, bus *tchan.Bus,
 	m *mem.Memory, os *osmodel.OS, cfg params.Config) *HIB {
 	h := &HIB{
@@ -285,9 +285,7 @@ func (h *HIB) applyWrite() {
 	h.Emit(trace.EvWriteApply, uint64(pkt.Addr), pkt.Val, uint64(pkt.Src))
 	h.ack(pkt.Src)
 	h.freePacket(pkt)
-	if it.done != nil {
-		it.done()
-	}
+	it.done()
 }
 
 // txPump launches the oldest queued packet on vc's injection link; the
@@ -330,23 +328,12 @@ func (h *HIB) rxPump(vc packet.VC) {
 	h.eng.Schedule(h.timing.HIBService, h.rxSvcFn[vc]) //tgvet:allow eventdrop(rx service delay always fires; rxBusy stays held until it does)
 }
 
-// rxService runs HIBService after arrival: dispatch to the event-chain
-// fast path, or to a transient process for packets that need blocking
-// handler context (attached coherence protocol, copies, message sinks).
+// rxService runs when HIBService after arrival has elapsed and hands the
+// packet to the board's service path.
 func (h *HIB) rxService(vc packet.VC) {
 	pkt := h.rxCur[vc]
 	h.rxCur[vc] = nil
-	if h.serviceFast(pkt, h.rxDonFn[vc]) {
-		return
-	}
-	h.eng.SpawnDaemon(h.rxName, func(p *sim.Proc) {
-		if pkt.Class() == packet.VCRequest {
-			h.handleRequest(p, pkt)
-		} else {
-			h.handleReply(p, pkt)
-		}
-		h.rxDone(vc)
-	})
+	h.service(h.rxName, pkt, h.rxDonFn[vc])
 }
 
 // rxDone releases the VC's service pipeline and pulls in the next packet.

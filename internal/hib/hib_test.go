@@ -1,6 +1,8 @@
 package hib
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"telegraphos/internal/addrspace"
@@ -488,5 +490,107 @@ func TestMaxOutstandingReadsSerializes(t *testing.T) {
 	}
 	if d < 5*sim.Microsecond {
 		t.Fatalf("reads overlapped (finish gap %v); must serialize on the read slot", d)
+	}
+}
+
+// declineAll is a coherence protocol that claims nothing: every access
+// and packet falls through to the board's default handling.
+type declineAll struct{}
+
+func (declineAll) LocalSharedWrite(*sim.Proc, uint64, uint64) bool  { return false }
+func (declineAll) LocalSharedRead(*sim.Proc, uint64) (uint64, bool) { return 0, false }
+func (declineAll) IncomingPacket(*sim.Proc, *packet.Packet) bool    { return false }
+
+// TestDecliningProtocolLeavesPlainPacketsUnchanged runs one two-node
+// program on boards with a protocol that declines every packet and on
+// boards with none. Declined packets take the protocol's process first,
+// then the same default handling, so completion times, memory and
+// counters must agree exactly.
+func TestDecliningProtocolLeavesPlainPacketsUnchanged(t *testing.T) {
+	type outcome struct {
+		times    []sim.Time
+		mem      [2][]uint64
+		accesses [2][2]int64
+		counters [2]string
+	}
+	runProgram := func(withProtocol bool) outcome {
+		r := newRig(t, nil)
+		if withProtocol {
+			r.h[0].SetCoherence(declineAll{})
+			r.h[1].SetCoherence(declineAll{})
+		}
+		const key = 0xC0FE
+		id, err := r.h[0].AllocContext(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 70; i++ {
+			r.mem[1].WriteWord(0x1000+8*uint64(i), uint64(1000+i))
+		}
+		var out outcome
+		r.eng.Spawn("prog", func(p *sim.Proc) {
+			h := r.h[0]
+			for i := 0; i < 3; i++ {
+				h.CPUWrite(p, addrspace.RemotePA(1, uint64(0x100+8*i)), uint64(10+i))
+			}
+			h.Fence(p)
+			out.times = append(out.times, p.Now())
+			if v := h.CPURead(p, addrspace.RemotePA(1, 0x108)); v != 11 {
+				t.Errorf("remote read = %d, want 11", v)
+			}
+			out.times = append(out.times, p.Now())
+			launchSequence(p, h, id, key, packet.FetchAndInc, addrspace.NewGAddr(1, 0x200), 0, 0)
+			out.times = append(out.times, p.Now())
+			// One copy lands on node 0; the other stays on node 1, so
+			// its bursts take node 1's loopback path.
+			for _, dst := range []addrspace.GAddr{addrspace.NewGAddr(0, 0x4000), addrspace.NewGAddr(1, 0x8000)} {
+				h.AddOutstanding(1)
+				h.Post(p, &packet.Packet{Type: packet.CopyReq, Dst: 1, Addr: addrspace.NewGAddr(1, 0x1000),
+					Addr2: dst, Origin: 0, Len: 70})
+			}
+			h.Fence(p)
+			out.times = append(out.times, p.Now())
+		})
+		r.eng.Spawn("noise", func(p *sim.Proc) {
+			h := r.h[1]
+			h.Post(p, &packet.Packet{Type: packet.ReadReply, Dst: 0, ReqID: 999})
+			h.Post(p, &packet.Packet{Type: packet.MsgData, Dst: 0, Data: []uint64{1, 2}})
+			h.Post(p, &packet.Packet{Type: packet.UpdateFwd, Dst: 0, Addr: addrspace.NewGAddr(0, 0x40), Val: 5})
+		})
+		r.run(t)
+		out.times = append(out.times, r.eng.Now())
+		for i := range r.h {
+			out.accesses[i] = [2]int64{r.mem[i].Reads(), r.mem[i].Writes()}
+			out.counters[i] = r.h[i].Counters.String()
+			for pn := 0; pn < r.mem[i].NumPages(); pn++ {
+				out.mem[i] = append(out.mem[i], r.mem[i].ReadPage(addrspace.PageNum(pn))...)
+			}
+		}
+		return out
+	}
+
+	plain, declined := runProgram(false), runProgram(true)
+	if !reflect.DeepEqual(plain.times, declined.times) {
+		t.Errorf("completion times differ: no protocol %v, declining protocol %v", plain.times, declined.times)
+	}
+	if plain.accesses != declined.accesses {
+		t.Errorf("memory access counts differ: no protocol %v, declining protocol %v", plain.accesses, declined.accesses)
+	}
+	for i := range plain.mem {
+		if !reflect.DeepEqual(plain.mem[i], declined.mem[i]) {
+			t.Errorf("node %d memory differs", i)
+		}
+		if plain.counters[i] != declined.counters[i] {
+			t.Errorf("node %d counters differ:\n  no protocol:        %s\n  declining protocol: %s",
+				i, plain.counters[i], declined.counters[i])
+		}
+	}
+	for _, name := range []string{"orphan-reply", "msg-dropped", "unhandled-UpdateFwd"} {
+		if !strings.Contains(declined.counters[0], name+"=1") {
+			t.Errorf("node 0 counters %q lack %s=1", declined.counters[0], name)
+		}
+	}
+	if got := declined.mem[0][0x4000/8+69]; got != 1069 {
+		t.Errorf("last copied word on node 0 = %d, want 1069", got)
 	}
 }

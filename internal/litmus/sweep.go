@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"telegraphos/internal/link"
 	"telegraphos/internal/sim"
@@ -102,97 +103,123 @@ func (r *SweepResult) Failed() bool {
 }
 
 // Sweep runs the full litmus matrix: every test × protocol × shard
-// count × fault schedule × timing variant. Invalidate's centralized
+// count × fault schedule × timing variant, plus an in-switch combining
+// arm for tests that issue fetch&increments. Invalidate's centralized
 // directory restricts it to single-shard runs.
 func Sweep(opts SweepOptions) *SweepResult {
-	shardList := []int{1, 2, 4}
-	variants := 5
-	if opts.Quick {
-		shardList = []int{1, 2}
-		variants = 3
+	m := matrix{
+		shards:    []int{1, 2, 4},
+		variants:  5,
+		topos:     []TopoLevel{{}},
+		faults:    FaultLevels(opts.Quick),
+		combining: true,
+		witness:   true,
 	}
-	faultLevels := FaultLevels(opts.Quick)
-	protocols := []Protocol{Update, Invalidate, Galactica}
+	if opts.Quick {
+		m.shards = []int{1, 2}
+		m.variants = 3
+	}
+	return m.run(opts)
+}
 
+// matrix is the shape of one sweep: the axes Sweep and SweepTopo differ
+// in. The zero TopoLevel is the classic star machine sized to the test.
+type matrix struct {
+	shards    []int
+	variants  int
+	topos     []TopoLevel
+	faults    []FaultLevel
+	combining bool // add a combining arm for tests that issue fetch&inc
+	witness   bool // require each test's expected anomaly to show
+}
+
+// run executes every (selected) test × topology × protocol × shard
+// count × fault level × combining arm × variant, then checks that runs
+// differing only in shard count produced identical trace hashes.
+func (m matrix) run(opts SweepOptions) *SweepResult {
+	protocols := []Protocol{Update, Invalidate, Galactica}
 	res := &SweepResult{Cells: make(map[CellKey]*Cell)}
 	witnessNeeded := make(map[string]bool) // "test/protocol" → still missing
-	// Trace hashes per (everything but shards) → shard → hash, for the
-	// shard-invariance check.
+	// Trace hashes per run configuration with the shard count left out,
+	// in shard order, for the shard-invariance check.
 	type hashKey struct {
-		test     string
-		protocol Protocol
-		faults   string
-		variant  int
-		comb     bool
+		cell    CellKey
+		variant int
 	}
-	hashes := make(map[hashKey]map[int]uint64)
+	hashes := make(map[hashKey][]uint64)
+	var hashOrder []hashKey
 
 	for _, t := range Tests() {
 		if opts.Tests != nil && !opts.Tests[t.Name] {
 			continue
 		}
-		for _, proto := range protocols {
-			if !t.runsUnder(proto) {
-				continue
-			}
-			if t.needsWitness(proto) {
-				witnessNeeded[t.Name+"/"+proto.String()] = true
-			}
-			for _, shards := range shardList {
-				if proto == Invalidate && shards > 1 {
+		combModes := []bool{false}
+		if m.combining && usesFAI(t) {
+			combModes = append(combModes, true)
+		}
+		for _, tl := range m.topos {
+			for _, proto := range protocols {
+				if !t.runsUnder(proto) {
 					continue
 				}
-				combModes := []bool{false}
-				if usesFAI(t) {
-					combModes = append(combModes, true)
+				if m.witness && t.needsWitness(proto) {
+					witnessNeeded[t.Name+"/"+proto.String()] = true
 				}
-				for _, fl := range faultLevels {
-					for _, comb := range combModes {
-						key := CellKey{Test: t.Name, Protocol: proto, Shards: shards, Faults: fl.Name, Comb: comb}
-						cell := res.Cells[key]
-						if cell == nil {
-							cell = &Cell{Outcomes: make(map[string]int)}
-							res.Cells[key] = cell
-						}
-						for v := 0; v < variants; v++ {
-							seed := opts.Seed + int64(v)*7919
-							var plan *link.FaultPlan
-							if fl.Plan != nil {
-								p := *fl.Plan
-								p.Seed = seed
-								plan = &p
+				for _, shards := range m.shards {
+					if proto == Invalidate && shards > 1 {
+						continue
+					}
+					for _, fl := range m.faults {
+						for _, comb := range combModes {
+							key := CellKey{Test: t.Name, Protocol: proto, Shards: shards, Faults: fl.Name,
+								Comb: comb, Topo: tl.Topo, Nodes: tl.Nodes}
+							cell := res.Cells[key]
+							if cell == nil {
+								cell = &Cell{Outcomes: make(map[string]int)}
+								res.Cells[key] = cell
 							}
-							rr := Run(t, Config{
-								Protocol:  proto,
-								Shards:    shards,
-								Faults:    plan,
-								Combining: comb,
-								Variant:   v,
-								Seed:      seed,
-							})
-							res.Runs++
-							cell.Runs++
-							cell.Outcomes[rr.Outcome.String()]++
-							if rr.Forbidden {
-								cell.Forbidden++
-							}
-							if rr.Witnessed {
-								cell.Witnessed++
-								delete(witnessNeeded, t.Name+"/"+proto.String())
-							}
-							for _, viol := range rr.Violations {
-								res.Violations = append(res.Violations,
-									fmt.Sprintf("%s proto=%v shards=%d faults=%s comb=%v variant=%d: %s",
-										t.Name, proto, shards, fl.Name, comb, v, viol))
-							}
-							hk := hashKey{t.Name, proto, fl.Name, v, comb}
-							if hashes[hk] == nil {
-								hashes[hk] = make(map[int]uint64)
-							}
-							hashes[hk][shards] = rr.TraceHash
-							if opts.Verbose && opts.Out != nil {
-								fmt.Fprintf(opts.Out, "  %-14s proto=%-10v shards=%d faults=%-5s comb=%v v=%d → %v\n",
-									t.Name, proto, shards, fl.Name, comb, v, rr.Outcome)
+							for v := 0; v < m.variants; v++ {
+								seed := opts.Seed + int64(v)*7919
+								var plan *link.FaultPlan
+								if fl.Plan != nil {
+									p := *fl.Plan
+									p.Seed = seed
+									plan = &p
+								}
+								rr := Run(t, Config{
+									Protocol:  proto,
+									Shards:    shards,
+									Faults:    plan,
+									Combining: comb,
+									Variant:   v,
+									Seed:      seed,
+									Topology:  tl.Topo,
+									Nodes:     tl.Nodes,
+								})
+								res.Runs++
+								cell.Runs++
+								cell.Outcomes[rr.Outcome.String()]++
+								if rr.Forbidden {
+									cell.Forbidden++
+								}
+								if rr.Witnessed {
+									cell.Witnessed++
+									delete(witnessNeeded, t.Name+"/"+proto.String())
+								}
+								for _, viol := range rr.Violations {
+									res.Violations = append(res.Violations,
+										fmt.Sprintf("%s %s variant=%d: %s", t.Name, m.describe(key, false), v, viol))
+								}
+								hk := hashKey{key, v}
+								hk.cell.Shards = 0
+								if _, seen := hashes[hk]; !seen {
+									hashOrder = append(hashOrder, hk)
+								}
+								hashes[hk] = append(hashes[hk], rr.TraceHash)
+								if opts.Verbose && opts.Out != nil {
+									fmt.Fprintf(opts.Out, "  %-14s %s v=%d → %v\n",
+										t.Name, m.describe(key, true), v, rr.Outcome)
+								}
 							}
 						}
 					}
@@ -201,46 +228,12 @@ func Sweep(opts SweepOptions) *SweepResult {
 		}
 	}
 
-	// Shard invariance: identical configs must produce identical traces
-	// regardless of shard count.
-	hkeys := make([]hashKey, 0, len(hashes))
-	//tgvet:allow maporder(keys are sorted by the sort.Slice below before the invariance check)
-	for hk := range hashes {
-		hkeys = append(hkeys, hk)
-	}
-	sort.Slice(hkeys, func(i, j int) bool {
-		a, b := hkeys[i], hkeys[j]
-		if a.test != b.test {
-			return a.test < b.test
-		}
-		if a.protocol != b.protocol {
-			return a.protocol < b.protocol
-		}
-		if a.faults != b.faults {
-			return a.faults < b.faults
-		}
-		if a.variant != b.variant {
-			return a.variant < b.variant
-		}
-		return !a.comb && b.comb
-	})
-	for _, hk := range hkeys {
-		byShard := hashes[hk]
-		var want uint64
-		first := true
-		for _, shards := range shardList {
-			h, ok := byShard[shards]
-			if !ok {
-				continue
-			}
-			if first {
-				want, first = h, false
-				continue
-			}
-			if h != want {
+	for _, hk := range hashOrder {
+		for _, h := range hashes[hk][1:] {
+			if h != hashes[hk][0] {
 				res.Violations = append(res.Violations, fmt.Sprintf(
-					"shard-variance: %s proto=%v faults=%s comb=%v variant=%d: trace hash differs across shard counts",
-					hk.test, hk.protocol, hk.faults, hk.comb, hk.variant))
+					"shard-variance: %s %s variant=%d: trace hash differs across shard counts",
+					hk.cell.Test, m.describe(hk.cell, false), hk.variant))
 				break
 			}
 		}
@@ -251,6 +244,30 @@ func Sweep(opts SweepOptions) *SweepResult {
 	}
 	sort.Strings(res.MissingWitness)
 	return res
+}
+
+// describe renders a run configuration for violation and verbose lines;
+// pad aligns verbose columns. A zero shard count (a shard-invariance
+// key) is left out, and the combining arm shows only in sweeps that
+// have one.
+func (m matrix) describe(k CellKey, pad bool) string {
+	protoW, faultsW := 0, 0
+	if pad {
+		protoW, faultsW = 10, 5
+	}
+	var b strings.Builder
+	if k.Topo != "" {
+		fmt.Fprintf(&b, "topo=%s/%d ", k.Topo, k.Nodes)
+	}
+	fmt.Fprintf(&b, "proto=%-*v", protoW, k.Protocol)
+	if k.Shards != 0 {
+		fmt.Fprintf(&b, " shards=%d", k.Shards)
+	}
+	fmt.Fprintf(&b, " faults=%-*s", faultsW, k.Faults)
+	if m.combining {
+		fmt.Fprintf(&b, " comb=%v", k.Comb)
+	}
+	return b.String()
 }
 
 // Report renders the sweep's outcome histograms and verdicts.

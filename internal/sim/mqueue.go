@@ -19,6 +19,7 @@ func (q *msgQueue) len() int { return len(q.a) }
 // less orders messages by (at, chid, seq) — build-time identities only,
 // which is what makes delivery order shard-invariant. The (chid, seq)
 // pair is pre-packed into one key word, so the tiebreak is one compare.
+//
 //tgvet:noalloc
 func msgBefore(a, b xmsg) bool {
 	if a.at != b.at {
@@ -106,6 +107,7 @@ func (q *msgQueue) down(i int) {
 // absorb appends a batch of messages without restoring heap order; the
 // next peek/pop/push pays one O(n) rebuild. Only called at a barrier,
 // when no shard is executing.
+//
 //tgvet:noalloc
 func (q *msgQueue) absorb(batch []xmsg) {
 	q.a = append(q.a, batch...) //tgvet:allow noalloc(batch absorption grows the inbox once; the array is reused across rounds)
@@ -115,6 +117,7 @@ func (q *msgQueue) absorb(batch []xmsg) {
 // fix rebuilds the heap property after absorbed batches. The n>1 guard
 // mirrors heap4.compact: (0-2)/4 truncates to 0, so an empty queue would
 // otherwise sift a phantom root.
+//
 //tgvet:noalloc
 func (q *msgQueue) fix() {
 	q.dirty = false

@@ -20,12 +20,12 @@ import (
 
 func FuzzRoute(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint8(3), uint8(0), uint16(0), uint16(15)) // 4x4 torus
-	f.Add(uint8(0), uint8(0), uint8(4), uint8(0), uint16(1), uint16(3)) // 1x5 torus: 1-wide dimension
-	f.Add(uint8(0), uint8(1), uint8(1), uint8(0), uint16(0), uint16(3)) // 2x2 torus: wrap == step
+	f.Add(uint8(0), uint8(0), uint8(4), uint8(0), uint16(1), uint16(3))  // 1x5 torus: 1-wide dimension
+	f.Add(uint8(0), uint8(1), uint8(1), uint8(0), uint16(0), uint16(3))  // 2x2 torus: wrap == step
 	f.Add(uint8(1), uint8(1), uint8(2), uint8(3), uint16(5), uint16(20)) // 2x3x4 torus
-	f.Add(uint8(2), uint8(1), uint8(0), uint8(0), uint16(0), uint16(1)) // radix-2 fat-tree
+	f.Add(uint8(2), uint8(1), uint8(0), uint8(0), uint16(0), uint16(1))  // radix-2 fat-tree
 	f.Add(uint8(2), uint8(39), uint8(0), uint8(0), uint16(11), uint16(38))
-	f.Add(uint8(3), uint8(8), uint8(0), uint8(0), uint16(0), uint16(8)) // dragonfly, partial group
+	f.Add(uint8(3), uint8(8), uint8(0), uint8(0), uint16(0), uint16(8))   // dragonfly, partial group
 	f.Add(uint8(3), uint8(39), uint8(0), uint8(1), uint16(3), uint16(38)) // valiant dragonfly
 
 	f.Fuzz(func(t *testing.T, kind, x, y, z uint8, srcRaw, dstRaw uint16) {

@@ -155,7 +155,10 @@ func Write(w io.Writer, t []Access) error {
 	return bw.Flush()
 }
 
-// Read loads a trace written by Write.
+// Read loads a trace written by Write. The record count in the file is
+// untrusted: the trace grows as its records are actually read, so a
+// corrupt count yields a truncation error, never a huge up-front
+// allocation.
 func Read(r io.Reader) ([]Access, error) {
 	br := bufio.NewReader(r)
 	var m [4]byte
@@ -170,17 +173,17 @@ func Read(r io.Reader) ([]Access, error) {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(buf[:4])
-	t := make([]Access, n)
-	for i := range t {
+	t := make([]Access, 0, min(n, 1<<16))
+	for i := uint32(0); i < n; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace: record %d of %d: %w", i, n, err)
 		}
 		rec := binary.LittleEndian.Uint64(buf[:])
-		t[i] = Access{
+		t = append(t, Access{
 			Write: rec&1 != 0,
 			Node:  int(rec >> 1 & 0xFFFF),
 			Word:  int(rec >> 17),
-		}
+		})
 	}
 	return t, nil
 }

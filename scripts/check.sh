@@ -10,6 +10,16 @@ go build ./...
 echo '== go vet ./...'
 go vet ./...
 
+# Formatting: every tracked Go file outside testdata/ must be gofmt-clean
+# (analyzer fixtures under testdata/ keep their deliberate layouts).
+echo '== gofmt'
+unformatted=$(git ls-files '*.go' | grep -v '/testdata/' | xargs -r gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 # Determinism & shard-safety lints: no wall clock or global math/rand in
 # sim-facing code, no effectful map-range iteration, no blocking calls in
 # event callbacks, no dropped event handles, no HIB recorders that bypass
