@@ -54,14 +54,21 @@ bench:
 	$(GO) run ./cmd/tgbench
 	$(GO) run ./cmd/tgbench -pdes -out BENCH_pdes.json
 
-# Short fuzz pass over the wire-format, address-space, trace-file and
-# checkpoint targets.
+# Short fuzz pass over every fuzz target in the tree: wire format,
+# address space, checkers, event queue, trace files, checkpoints and
+# tgvet's allow annotations. scripts/check.sh fails when a Fuzz function
+# has no line here.
 fuzz:
-	$(GO) test ./internal/packet -fuzz FuzzEncodeDecode -fuzztime 10s
-	$(GO) test ./internal/addrspace -fuzz FuzzAddrRoundTrips -fuzztime 10s
-	$(GO) test ./internal/linearize -fuzz FuzzLinearize -fuzztime 15s
-	$(GO) test ./internal/consistency -fuzz FuzzCoherent -fuzztime 15s
-	$(GO) test ./internal/switchfab -fuzz FuzzMergeSplit -fuzztime 10s
-	$(GO) test ./internal/topology -fuzz FuzzRoute -fuzztime 15s
-	$(GO) test ./internal/trace -fuzz FuzzCheckpoint -fuzztime 10s
-	$(GO) test ./internal/trace -fuzz FuzzTraceRead -fuzztime 10s
+	$(GO) test ./internal/packet -fuzz '^FuzzEncodeDecode$$' -fuzztime 10s
+	$(GO) test ./internal/packet -fuzz '^FuzzDecode$$' -fuzztime 10s
+	$(GO) test ./internal/addrspace -fuzz '^FuzzAddrRoundTrips$$' -fuzztime 10s
+	$(GO) test ./internal/linearize -fuzz '^FuzzLinearize$$' -fuzztime 15s
+	$(GO) test ./internal/consistency -fuzz '^FuzzCoherent$$' -fuzztime 15s
+	$(GO) test ./internal/consistency -fuzz '^FuzzOnlineCoherent$$' -fuzztime 10s
+	$(GO) test ./internal/sim -fuzz '^FuzzEventQueueDifferential$$' -fuzztime 10s
+	$(GO) test ./internal/switchfab -fuzz '^FuzzMergeSplit$$' -fuzztime 10s
+	$(GO) test ./internal/topology -fuzz '^FuzzRoute$$' -fuzztime 15s
+	$(GO) test ./internal/trace -fuzz '^FuzzSpill$$' -fuzztime 10s
+	$(GO) test ./internal/trace -fuzz '^FuzzCheckpoint$$' -fuzztime 10s
+	$(GO) test ./internal/trace -fuzz '^FuzzTraceRead$$' -fuzztime 10s
+	$(GO) test ./internal/analysis -fuzz '^FuzzAllowAnnot$$' -fuzztime 10s

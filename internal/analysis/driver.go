@@ -12,9 +12,9 @@ import (
 
 // Exit codes of the tgvet driver.
 const (
-	ExitClean = 0 // no unsuppressed diagnostics (or none beyond the baseline)
+	ExitClean = 0 // no unsuppressed diagnostics
 	ExitDiags = 1 // at least one reportable diagnostic
-	ExitError = 2 // usage error, load failure, or unreadable baseline
+	ExitError = 2 // usage error or load failure
 )
 
 // Main is the tgvet entry point (cmd/tgvet is a thin wrapper so the
@@ -26,16 +26,14 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit results as a JSON array (machine-readable)")
 	list := fs.Bool("list", false, "list the analyzers and their invariants, then exit")
-	baseline := fs.String("baseline", "", "suppress findings recorded in this baseline `file`; only new findings fail")
-	writeBaseline := fs.String("write-baseline", "", "record the current findings into `file` and exit clean")
 	audit := fs.Bool("audit", false, "list every //tgvet:allow annotation with its reason, then exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: tgvet [-json] [-list] [-audit] [-baseline file | -write-baseline file] [packages]\n\n"+
+		fmt.Fprintf(stderr, "usage: tgvet [-json] [-list] [-audit] [packages]\n\n"+
 			"tgvet statically checks the simulator's determinism and shard-safety\n"+
-			"contracts. Packages are directories or ./... patterns; default ./...\n\n"+
-			"exit codes: 0 clean (no findings, or none beyond the baseline;\n"+
-			"always 0 after -write-baseline or -audit), 1 findings, 2 usage or\n"+
-			"load error (including an unreadable or malformed baseline file)\n\n")
+			"contracts. Packages are directories or ./... patterns; default ./...\n"+
+			"A finding is suppressed only by a //tgvet:allow annotation with a reason.\n\n"+
+			"exit codes: 0 clean (no findings; always 0 after -audit), 1 findings,\n"+
+			"2 usage or load error\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -46,10 +44,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-11s %s\n", a.Name, a.Doc)
 		}
 		return ExitClean
-	}
-	if *baseline != "" && *writeBaseline != "" {
-		fmt.Fprintf(stderr, "tgvet: -baseline and -write-baseline are mutually exclusive\n")
-		return ExitError
 	}
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -78,22 +72,6 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "tgvet: %v\n", err)
 		return ExitError
-	}
-	if *writeBaseline != "" {
-		if err := WriteBaseline(*writeBaseline, diags); err != nil {
-			fmt.Fprintf(stderr, "tgvet: %v\n", err)
-			return ExitError
-		}
-		fmt.Fprintf(stderr, "tgvet: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return ExitClean
-	}
-	if *baseline != "" {
-		base, err := ReadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "tgvet: %v\n", err)
-			return ExitError
-		}
-		diags = FilterBaseline(diags, base)
 	}
 	if *jsonOut {
 		if err := encodeJSON(stdout, diags, []Diagnostic{}); err != nil {

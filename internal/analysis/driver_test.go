@@ -249,55 +249,6 @@ func Step() int64 { return a.Stamp() }
 	}
 }
 
-func TestMainBaselineWorkflow(t *testing.T) {
-	root := writeModule(t, map[string]string{
-		"go.mod":     tinyGoMod,
-		"dirty/d.go": "package dirty\n\nimport \"time\"\n\nvar T = time.Now()\n",
-	})
-	chdir(t, root)
-	base := filepath.Join(root, "tgvet-baseline.json")
-	var out, errb bytes.Buffer
-
-	// -write-baseline records findings and exits clean despite them.
-	if code := Main([]string{"-write-baseline", base, "./dirty"}, &out, &errb); code != ExitClean {
-		t.Fatalf("-write-baseline: exit %d, want %d (stderr: %s)", code, ExitClean, errb.String())
-	}
-	// A baselined run is clean.
-	out.Reset()
-	if code := Main([]string{"-baseline", base, "./dirty"}, &out, &errb); code != ExitClean {
-		t.Fatalf("-baseline over unchanged tree: exit %d, want %d (out: %s)", code, ExitClean, out.String())
-	}
-	if strings.TrimSpace(out.String()) != "" {
-		t.Errorf("baselined findings still printed: %q", out.String())
-	}
-	// A new finding beyond the baseline fails, and only it is reported.
-	if err := os.WriteFile(filepath.Join(root, "dirty", "e.go"),
-		[]byte("package dirty\n\nimport \"time\"\n\nvar U = time.Since(T)\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if code := Main([]string{"-baseline", base, "./dirty"}, &out, &errb); code != ExitDiags {
-		t.Fatalf("new finding past baseline: exit %d, want %d", code, ExitDiags)
-	}
-	if !strings.Contains(out.String(), "e.go") || strings.Contains(out.String(), "d.go") {
-		t.Errorf("want only the new finding reported, got: %s", out.String())
-	}
-	// Unreadable and malformed baselines are hard errors.
-	if code := Main([]string{"-baseline", filepath.Join(root, "nope.json"), "./dirty"}, &out, &errb); code != ExitError {
-		t.Errorf("missing baseline file: exit %d, want %d", code, ExitError)
-	}
-	if err := os.WriteFile(base, []byte("not json"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if code := Main([]string{"-baseline", base, "./dirty"}, &out, &errb); code != ExitError {
-		t.Errorf("malformed baseline: exit %d, want %d", code, ExitError)
-	}
-	// The two baseline modes are mutually exclusive.
-	if code := Main([]string{"-baseline", base, "-write-baseline", base}, &out, &errb); code != ExitError {
-		t.Errorf("conflicting flags: exit %d, want %d", code, ExitError)
-	}
-}
-
 func TestMainAudit(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"go.mod": tinyGoMod,

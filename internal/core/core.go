@@ -66,10 +66,11 @@ type Cluster struct {
 }
 
 // New builds a cluster from cfg. With cfg.Shards > 1 the nodes are
-// partitioned into contiguous blocks, one simulation shard each; every
-// cross-node effect already travels through links, so the cluster's
-// behavior — traces, timings, experiment results — is identical for any
-// shard count.
+// partitioned into contiguous blocks, one simulation shard each, and
+// every switch runs on its anchor node's shard (see topology.Place). It
+// panics on a topology topology.Build rejects. Every cross-node effect
+// already travels through links, so the cluster's behavior — traces,
+// timings, experiment results — is identical for any shard count.
 func New(cfg params.Config) *Cluster {
 	shards := cfg.Shards
 	if shards < 1 {
@@ -80,50 +81,9 @@ func New(cfg params.Config) *Cluster {
 	}
 	g := sim.NewGroup(cfg.Seed, shards)
 	nodeEng := func(i int) *sim.Engine { return g.Shard(i * shards / cfg.Nodes) }
-	// A switch runs on the shard of its first attached node (the star's
-	// single switch lands on shard 0).
-	swEng := func(s int) *sim.Engine {
-		switch cfg.Topology {
-		case "chain":
-			return nodeEng(s * cfg.ChainPerSwitch)
-		case "tree":
-			return nodeEng(topology.TreeAnchor(cfg.Nodes, cfg.TreeRadix, s))
-		case "torus2d", "torus3d":
-			return nodeEng(s) // one switch per node, co-located
-		case "fattree":
-			return nodeEng(topology.FatTreeAnchor(cfg.Nodes, s))
-		case "dragonfly", "dragonfly-val":
-			return nodeEng(topology.DragonflyAnchor(cfg.Nodes, s))
-		}
-		return g.Shard(0)
-	}
-	assign := topology.Assign{Node: nodeEng, Switch: swEng}
-
-	var net *topology.Network
-	switch cfg.Topology {
-	case "pair":
-		if cfg.Nodes != 2 {
-			panic("core: pair topology requires exactly 2 nodes")
-		}
-		net = topology.BuildPairOn(assign, cfg.Link)
-	case "star", "":
-		net = topology.BuildStarOn(assign, cfg.Nodes, cfg.Link, cfg.Switch)
-	case "chain":
-		net = topology.BuildChainOn(assign, cfg.Nodes, cfg.ChainPerSwitch, cfg.Link, cfg.Switch)
-	case "tree":
-		net = topology.BuildTreeOn(assign, cfg.Nodes, cfg.TreeRadix, cfg.Link, cfg.Switch)
-	case "torus2d":
-		net = topology.BuildTorusOn(assign, topology.TorusDims(cfg.Nodes, 2), cfg.Link, cfg.Switch)
-	case "torus3d":
-		net = topology.BuildTorusOn(assign, topology.TorusDims(cfg.Nodes, 3), cfg.Link, cfg.Switch)
-	case "fattree":
-		net = topology.BuildFatTreeOn(assign, cfg.Nodes, cfg.Link, cfg.Switch)
-	case "dragonfly":
-		net = topology.BuildDragonflyOn(assign, cfg.Nodes, false, cfg.Link, cfg.Switch)
-	case "dragonfly-val":
-		net = topology.BuildDragonflyOn(assign, cfg.Nodes, true, cfg.Link, cfg.Switch)
-	default:
-		panic(fmt.Sprintf("core: unknown topology %q", cfg.Topology))
+	net, err := topology.Build(cfg, nodeEng)
+	if err != nil {
+		panic(err)
 	}
 
 	c := &Cluster{

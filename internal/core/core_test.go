@@ -7,10 +7,13 @@ import (
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/cpu"
 	"telegraphos/internal/hib"
+	"telegraphos/internal/linearize"
 	"telegraphos/internal/mmu"
 	"telegraphos/internal/osmodel"
+	"telegraphos/internal/packet"
 	"telegraphos/internal/params"
 	"telegraphos/internal/sim"
+	"telegraphos/internal/trace"
 )
 
 func twoNodes(t *testing.T) *Cluster {
@@ -437,5 +440,43 @@ func TestChainClusterEndToEnd(t *testing.T) {
 	}
 	if got != 99 {
 		t.Fatalf("cross-chain access = %d", got)
+	}
+}
+
+// TestPALAtomicVisibleToChecker runs a PAL special-mode atomic on node 0
+// and a later load of the same word on node 1 under the online
+// linearizability checker. The PAL launch must record the atomic's
+// boundaries exactly as the context launch does; a launch the trace
+// cannot see makes the load's value look invented. The atomic's home is
+// the other node in one case and the issuing node in the other.
+func TestPALAtomicVisibleToChecker(t *testing.T) {
+	for _, home := range []addrspace.NodeID{1, 0} {
+		c := twoNodes(t)
+		w := trace.NewWindowedLog(2, 0)
+		olz := linearize.NewOnline()
+		w.AddSink(olz)
+		c.AttachTrace(w)
+		x := c.AllocShared(home, 8)
+		var old, got uint64
+		c.Spawn(0, "pal", func(ctx *cpu.Ctx) {
+			old = ctx.AtomicPAL(packet.FetchAndStore, x, 7)
+		})
+		c.Spawn(1, "load", func(ctx *cpu.Ctx) {
+			ctx.P.Sleep(100 * sim.Microsecond)
+			got = ctx.Load(x)
+		})
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.DrainAll(); err != nil {
+			t.Fatal(err)
+		}
+		olz.Finish()
+		if old != 0 || got != 7 {
+			t.Fatalf("home %d: atomic fetched %d and load read %d, want 0 and 7", home, old, got)
+		}
+		if err := olz.Err(); err != nil {
+			t.Errorf("home %d: %v", home, err)
+		}
 	}
 }

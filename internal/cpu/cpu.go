@@ -182,12 +182,17 @@ func (x *Ctx) shadowStore(va addrspace.VAddr, slot int) {
 	x.CPU.HIB.CPUWriteIssued(x.P, x.CPU.timing.CPUOp, pa, hib.ShadowArg(x.CPU.CtxID, slot, x.CPU.Key))
 }
 
-// atomic runs the user-level launch sequence for a remote atomic
-// operation on va: uncached stores of the opcode and operands into the
-// Telegraphos context, a shadow store communicating the physical address,
-// and a trigger read returning the fetched value.
+// atomic counts and launches a user-level remote atomic operation.
 func (x *Ctx) atomic(op packet.AtomicOp, va addrspace.VAddr, v1, v2 uint64) uint64 {
 	x.CPU.Counters.Inc("atomics")
+	return x.launchAtomic(op, va, v1, v2)
+}
+
+// launchAtomic runs the launch sequence for a remote atomic operation on
+// va: uncached stores of the opcode and operands into the Telegraphos
+// context, a shadow store communicating the physical address, and a
+// trigger read returning the fetched value.
+func (x *Ctx) launchAtomic(op packet.AtomicOp, va addrspace.VAddr, v1, v2 uint64) uint64 {
 	id := x.CPU.CtxID
 	x.ioWrite(hib.CtxRegPA(id, hib.CtxRegOpcode), uint64(op))
 	x.ioWrite(hib.CtxRegPA(id, hib.CtxRegOperand1), v1)
@@ -222,18 +227,10 @@ func (x *Ctx) CompareAndSwap(va addrspace.VAddr, v, expected uint64) uint64 {
 // uninterrupted.
 func (x *Ctx) AtomicViaOS(op packet.AtomicOp, va addrspace.VAddr, v1, v2 uint64) uint64 {
 	x.CPU.Counters.Inc("atomics-os")
-	x.CPU.OS.Trap(x.P)                     // kernel entry
-	x.P.Sleep(x.CPU.timing.TLBMissCost)    // software page-table lookup
-	pa := x.translate(va, mmu.AccessWrite) // validity check
-	_ = pa
-	id := x.CPU.CtxID
-	x.ioWrite(hib.CtxRegPA(id, hib.CtxRegOpcode), uint64(op))
-	x.ioWrite(hib.CtxRegPA(id, hib.CtxRegOperand1), v1)
-	if op == packet.CompareAndSwap {
-		x.ioWrite(hib.CtxRegPA(id, hib.CtxRegOperand2), v2)
-	}
-	x.shadowStore(va, 0)
-	v := x.ioRead(hib.CtxRegPA(id, hib.CtxRegAtomicGo))
+	x.CPU.OS.Trap(x.P)                  // kernel entry
+	x.P.Sleep(x.CPU.timing.TLBMissCost) // software page-table lookup
+	x.translate(va, mmu.AccessWrite)    // validity check
+	v := x.launchAtomic(op, va, v1, v2)
 	x.CPU.OS.Trap(x.P) // kernel exit
 	return v
 }

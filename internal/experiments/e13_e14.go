@@ -31,7 +31,7 @@ func E13SwitchLoad(o Options) *Result {
 	loads := []float64{0.1, 0.3, 0.5, 0.7, 0.9, 1.1}
 	for _, load := range loads {
 		eng := sim.NewEngine(41 + o.Seed)
-		net := topology.BuildStar(eng, nodes, params.DefaultLink(), switchfab.Config{RouteDelay: 100})
+		net := topology.BuildStar(topology.OneEngine(eng), nodes, params.DefaultLink(), switchfab.Config{RouteDelay: 100})
 		gap := sim.Time(float64(wirePerPkt) / load)
 
 		type key struct{ src, dst addrspace.NodeID }

@@ -205,8 +205,7 @@ func (h *HIB) rejectShadow() {
 
 // launchAtomic fires context id's atomic operation on its slot-0 address
 // and returns the fetched previous value, blocking the caller (the CPU's
-// trigger read) until the reply returns. A home-node operation runs on
-// the local board.
+// trigger read) until the reply returns.
 func (h *HIB) launchAtomic(p *sim.Proc, id int) uint64 {
 	c := &h.contexts[id]
 	if !c.allocated || !c.addrOK[0] {
@@ -215,17 +214,25 @@ func (h *HIB) launchAtomic(p *sim.Proc, id int) uint64 {
 		return LaunchError
 	}
 	h.Counters.Inc("launch-atomic")
-	g := c.addr[0]
 	c.addrOK[0] = false // the launch consumes the address argument
-	bop := boundaryOpOf(c.op)
-	seq := h.invokeOp(bop, g, c.operand1)
-	if c.op == packet.CompareAndSwap {
-		h.Emit(trace.EvOpArg, uint64(g), c.operand2, trace.BoundaryAux(bop, seq))
+	return h.fireAtomic(p, c.op, c.addr[0], c.operand1, c.operand2)
+}
+
+// fireAtomic performs atomic op on g with operands v1 and v2 for the
+// launching process p and returns the fetched previous value, blocking p
+// until the reply returns. A home-node operation runs on the local
+// board. Both launch paths (contexts and PAL special mode) record the
+// operation's boundaries here, so the trace checkers see every atomic.
+func (h *HIB) fireAtomic(p *sim.Proc, op packet.AtomicOp, g addrspace.GAddr, v1, v2 uint64) uint64 {
+	bop := boundaryOpOf(op)
+	seq := h.invokeOp(bop, g, v1)
+	if op == packet.CompareAndSwap {
+		h.Emit(trace.EvOpArg, uint64(g), v2, trace.BoundaryAux(bop, seq))
 	}
 	if g.Node() == h.node {
 		p.Sleep(h.timing.MPMRead + h.timing.MPMWrite)
-		old := h.applyAtomic(c.op, g.Offset(), c.operand1, c.operand2)
-		h.Emit(trace.EvAtomicApply, uint64(g), c.operand1, uint64(h.node))
+		old := h.applyAtomic(op, g.Offset(), v1, v2)
+		h.Emit(trace.EvAtomicApply, uint64(g), v1, uint64(h.node))
 		h.returnOp(bop, seq, g, old)
 		return old
 	}
@@ -238,12 +245,12 @@ func (h *HIB) launchAtomic(p *sim.Proc, id int) uint64 {
 		Src:   h.node,
 		Dst:   g.Node(),
 		Addr:  g,
-		Val:   c.operand1,
-		Val2:  c.operand2,
-		Op:    c.op,
+		Val:   v1,
+		Val2:  v2,
+		Op:    op,
 		ReqID: rid,
 	}
-	if h.combining && c.op == packet.FetchAndInc {
+	if h.combining && op == packet.FetchAndInc {
 		// A remote fetch&increment travels as a combinable add of one so
 		// switches can merge concurrent hot-counter requests in flight;
 		// the reply carries this ReqID back after any de-combining.

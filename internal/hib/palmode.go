@@ -76,27 +76,8 @@ func (h *HIB) palRead(p *sim.Proc, reg uint64) (uint64, bool) {
 		return LaunchError, true
 	}
 	h.Counters.Inc("launch-atomic-pal")
-	g := h.pal.addr
-	op, operand := h.pal.op, h.pal.operand
 	h.pal.addrOK = false
-	if g.Node() == h.node {
-		p.Sleep(h.timing.MPMRead + h.timing.MPMWrite)
-		return h.applyAtomic(op, g.Offset(), operand, 0), true
-	}
-	h.nextReqID++
-	rid := h.nextReqID
-	fut := sim.NewFuture[uint64](h.eng)
-	h.pendingReads[rid] = fut
-	h.postCPU(p, &packet.Packet{
-		Type:  packet.AtomicReq,
-		Src:   h.node,
-		Dst:   g.Node(),
-		Addr:  g,
-		Val:   operand,
-		Op:    op,
-		ReqID: rid,
-	})
-	return fut.Wait(p), true
+	return h.fireAtomic(p, h.pal.op, h.pal.addr, h.pal.operand, 0), true
 }
 
 // palLatchAddress intercepts a data-space store while special mode is

@@ -17,7 +17,6 @@ import (
 
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/link"
-	"telegraphos/internal/sim"
 	"telegraphos/internal/switchfab"
 )
 
@@ -44,19 +43,6 @@ func DragonflyShape(nnodes int) (p, a, h, g int) {
 	return p, a, h, g
 }
 
-// DragonflyAnchor reports the first populated host of global router s
-// (group-major: router r of group G is switch G*a+r). Shard assigners
-// use it to co-locate each router with its hosts.
-func DragonflyAnchor(nnodes, s int) int {
-	p, a, _, _ := DragonflyShape(nnodes)
-	first := (s / a) * a * p // first host of the group
-	first += (s % a) * p     // first host of the router
-	if first >= nnodes {
-		return nnodes - 1
-	}
-	return first
-}
-
 // dragonflyInterGroup picks the Valiant intermediate group for
 // destination t: a multiplicative hash of t offset into [1, g-1] past
 // the home group, so it is deterministic, destination-indexed (dense
@@ -67,50 +53,24 @@ func dragonflyInterGroup(t, gt, g int) int {
 }
 
 // BuildDragonfly connects nnodes hosts as a dragonfly; valiant selects
-// the non-minimal two-phase routing.
-func BuildDragonfly(eng *sim.Engine, nnodes int, valiant bool, lcfg link.Config, scfg switchfab.Config) *Network {
-	return BuildDragonflyOn(SingleEngine(eng), nnodes, valiant, lcfg, scfg)
-}
-
-// BuildDragonflyOn is BuildDragonfly with an explicit engine
-// assignment; routers are numbered group-major (see DragonflyAnchor).
-func BuildDragonflyOn(a Assign, nnodes int, valiant bool, lcfg link.Config, scfg switchfab.Config) *Network {
+// the non-minimal two-phase routing. Routers are numbered group-major
+// (router r of group G is switch G*a+r), and each runs with its first
+// host.
+func BuildDragonfly(place Place, nnodes int, valiant bool, lcfg link.Config, scfg switchfab.Config) *Network {
 	p, ra, h, g := DragonflyShape(nnodes)
 	nsw := g * ra
 
-	switches := make([]*switchfab.Switch, nsw)
-	for s := range switches {
-		switches[s] = switchfab.New(a.Switch(s), fmt.Sprintf("df.g%d.r%d", s/ra, s%ra), scfg)
-	}
 	kind := "dragonfly"
 	if valiant {
 		kind = "dragonfly-val"
 	}
-	n := &Network{eng: a.Node(0), Switches: switches, kind: kind}
-
-	// Host ports.
-	hostPort := make([]int, nnodes)
-	for i := 0; i < nnodes; i++ {
-		s := i / p // global router index (group-major host numbering)
-		ne, se := a.Node(i), a.Switch(s)
-		up := link.NewCross(ne, se, fmt.Sprintf("n%d->%s", i, switches[s].Name()), lcfg)
-		down := link.NewCross(se, ne, fmt.Sprintf("%s->n%d", switches[s].Name(), i), lcfg)
-		hostPort[i] = switches[s].AttachPort(up, down)
-		n.recordNodePort(i, s, hostPort[i])
-		n.toNet = append(n.toNet, up)
-		n.fromNet = append(n.fromNet, down)
-		n.links = append(n.links, up, down)
+	b := newBuilder(kind, place, nnodes, lcfg, scfg)
+	for s := 0; s < nsw; s++ {
+		b.addSwitch(fmt.Sprintf("df.g%d.r%d", s/ra, s%ra), s*p)
 	}
-
-	trunk := func(s1, s2 int) (p1, p2 int) {
-		e1, e2 := a.Switch(s1), a.Switch(s2)
-		fwd := link.NewCross(e1, e2, fmt.Sprintf("%s->%s", switches[s1].Name(), switches[s2].Name()), lcfg)
-		rev := link.NewCross(e2, e1, fmt.Sprintf("%s->%s", switches[s2].Name(), switches[s1].Name()), lcfg)
-		p1 = switches[s1].AttachPort(rev, fwd)
-		p2 = switches[s2].AttachPort(fwd, rev)
-		n.recordTrunk(s1, p1, s2, p2)
-		n.links = append(n.links, fwd, rev)
-		return p1, p2
+	switches := b.n.Switches
+	for i := 0; i < nnodes; i++ {
+		b.host(i, i/p) // group-major host numbering
 	}
 
 	// Local all-to-all inside each group.
@@ -124,7 +84,7 @@ func BuildDragonflyOn(a Assign, nnodes int, valiant bool, lcfg link.Config, scfg
 	for G := 0; G < g; G++ {
 		for r1 := 0; r1 < ra; r1++ {
 			for r2 := r1 + 1; r2 < ra; r2++ {
-				p1, p2 := trunk(G*ra+r1, G*ra+r2)
+				p1, p2 := b.trunk(G*ra+r1, G*ra+r2, "")
 				localPort[G*ra+r1][r2] = p1
 				localPort[G*ra+r2][r1] = p2
 			}
@@ -147,7 +107,7 @@ func BuildDragonflyOn(a Assign, nnodes int, valiant bool, lcfg link.Config, scfg
 				continue // the lower-numbered group built this trunk
 			}
 			cPeer := g - 2 - c
-			p1, p2 := trunk(G*ra+c/h, H*ra+cPeer/h)
+			p1, p2 := b.trunk(G*ra+c/h, H*ra+cPeer/h, "")
 			globalPort[G*ra+c/h][H] = p1
 			globalPort[H*ra+cPeer/h][G] = p2
 		}
@@ -174,7 +134,7 @@ func BuildDragonflyOn(a Assign, nnodes int, valiant bool, lcfg link.Config, scfg
 				act := switchfab.LayerKeep
 				switch {
 				case G == Gt && r == rt:
-					port, act = hostPort[t], switchfab.LayerEject
+					port, act = b.n.nodePort[t], switchfab.LayerEject
 				case G == Gt:
 					port = localPort[G*ra+r][rt]
 				case valiant && G != dragonflyInterGroup(t, Gt, g):
@@ -188,8 +148,5 @@ func BuildDragonflyOn(a Assign, nnodes int, valiant bool, lcfg link.Config, scfg
 			}
 		}
 	}
-	for _, sw := range switches {
-		sw.Start()
-	}
-	return n
+	return b.start()
 }

@@ -15,7 +15,6 @@ import (
 
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/link"
-	"telegraphos/internal/sim"
 	"telegraphos/internal/switchfab"
 )
 
@@ -32,81 +31,38 @@ func FatTreeK(nnodes int) int {
 	}
 }
 
-// FatTreeAnchor reports the first populated host below global switch s
-// of the fat-tree over nnodes hosts (edges, then aggregations, then
-// cores — see BuildFatTreeOn). Shard assigners use it to co-locate
-// each switch with its subtree.
-func FatTreeAnchor(nnodes, s int) int {
-	k := FatTreeK(nnodes)
-	perEdge, perPod := k/2, k*k/4
-	clamp := func(i int) int {
-		if i >= nnodes {
-			return nnodes - 1
-		}
-		return i
-	}
-	if s < k*(k/2) { // edge switch
-		p, e := s/(k/2), s%(k/2)
-		return clamp(p*perPod + e*perEdge)
-	}
-	s -= k * (k / 2)
-	if s < k*(k/2) { // aggregation switch
-		return clamp((s / (k / 2)) * perPod)
-	}
-	return 0 // core
-}
-
 // BuildFatTree connects nnodes hosts in the smallest k-ary fat-tree
-// that holds them, with deterministic up*/down* routing.
-func BuildFatTree(eng *sim.Engine, nnodes int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return BuildFatTreeOn(SingleEngine(eng), nnodes, lcfg, scfg)
-}
-
-// BuildFatTreeOn is BuildFatTree with an explicit engine assignment;
-// switches are numbered edges, aggregations, cores (see FatTreeAnchor).
-func BuildFatTreeOn(a Assign, nnodes int, lcfg link.Config, scfg switchfab.Config) *Network {
+// that holds them, with deterministic up*/down* routing. Switches are
+// numbered edges, aggregations, cores; an edge switch runs with its
+// first host, an aggregation switch with its pod's first host and a
+// core with node 0.
+func BuildFatTree(place Place, nnodes int, lcfg link.Config, scfg switchfab.Config) *Network {
 	k := FatTreeK(nnodes)
 	half := k / 2
 	perPod := half * half // hosts per pod
 	nEdge, nAgg, nCore := k*half, k*half, half*half
 	aggBase, coreBase := nEdge, nEdge+nAgg
 
-	switches := make([]*switchfab.Switch, nEdge+nAgg+nCore)
+	b := newBuilder("fattree", place, nnodes, lcfg, scfg)
 	for p := 0; p < k; p++ {
 		for e := 0; e < half; e++ {
-			switches[p*half+e] = switchfab.New(a.Switch(p*half+e), fmt.Sprintf("ft.e%d.%d", p, e), scfg)
-			switches[aggBase+p*half+e] = switchfab.New(a.Switch(aggBase+p*half+e), fmt.Sprintf("ft.a%d.%d", p, e), scfg)
+			b.addSwitch(fmt.Sprintf("ft.e%d.%d", p, e), p*perPod+e*half)
+		}
+	}
+	for p := 0; p < k; p++ {
+		for a := 0; a < half; a++ {
+			b.addSwitch(fmt.Sprintf("ft.a%d.%d", p, a), p*perPod)
 		}
 	}
 	for c := 0; c < nCore; c++ {
-		switches[coreBase+c] = switchfab.New(a.Switch(coreBase+c), fmt.Sprintf("ft.c%d", c), scfg)
+		b.addSwitch(fmt.Sprintf("ft.c%d", c), 0)
 	}
-	n := &Network{eng: a.Node(0), Switches: switches, kind: "fattree"}
+	switches := b.n.Switches
 
 	// Host ports on the edge switches.
-	hostPort := make([]int, nnodes)
 	for i := 0; i < nnodes; i++ {
 		p, j := i/perPod, i%perPod
-		edge := p*half + j/half
-		ne, se := a.Node(i), a.Switch(edge)
-		up := link.NewCross(ne, se, fmt.Sprintf("n%d->%s", i, switches[edge].Name()), lcfg)
-		down := link.NewCross(se, ne, fmt.Sprintf("%s->n%d", switches[edge].Name(), i), lcfg)
-		hostPort[i] = switches[edge].AttachPort(up, down)
-		n.recordNodePort(i, edge, hostPort[i])
-		n.toNet = append(n.toNet, up)
-		n.fromNet = append(n.fromNet, down)
-		n.links = append(n.links, up, down)
-	}
-
-	trunk := func(s1, s2 int) (p1, p2 int) {
-		e1, e2 := a.Switch(s1), a.Switch(s2)
-		fwd := link.NewCross(e1, e2, fmt.Sprintf("%s->%s", switches[s1].Name(), switches[s2].Name()), lcfg)
-		rev := link.NewCross(e2, e1, fmt.Sprintf("%s->%s", switches[s2].Name(), switches[s1].Name()), lcfg)
-		p1 = switches[s1].AttachPort(rev, fwd)
-		p2 = switches[s2].AttachPort(fwd, rev)
-		n.recordTrunk(s1, p1, s2, p2)
-		n.links = append(n.links, fwd, rev)
-		return p1, p2
+		b.host(i, p*half+j/half)
 	}
 
 	// Edge <-> aggregation inside each pod, then aggregation <-> core:
@@ -128,14 +84,14 @@ func BuildFatTreeOn(a Assign, nnodes int, lcfg link.Config, scfg switchfab.Confi
 	for p := 0; p < k; p++ {
 		for e := 0; e < half; e++ {
 			for ag := 0; ag < half; ag++ {
-				pe, pa := trunk(p*half+e, aggBase+p*half+ag)
+				pe, pa := b.trunk(p*half+e, aggBase+p*half+ag, "")
 				edgeUp[p*half+e][ag] = pe
 				aggDown[p*half+ag][e] = pa
 			}
 		}
 		for ag := 0; ag < half; ag++ {
 			for o := 0; o < half; o++ {
-				pa, pc := trunk(aggBase+p*half+ag, coreBase+ag*half+o)
+				pa, pc := b.trunk(aggBase+p*half+ag, coreBase+ag*half+o, "")
 				aggUp[p*half+ag][o] = pa
 				coreDown[ag*half+o][p] = pc
 			}
@@ -153,7 +109,7 @@ func BuildFatTreeOn(a Assign, nnodes int, lcfg link.Config, scfg switchfab.Confi
 			for e := 0; e < half; e++ {
 				edge := p*half + e
 				if edge == te {
-					switches[edge].SetRouteAction(dst, hostPort[t], switchfab.LayerEject)
+					switches[edge].SetRouteAction(dst, b.n.nodePort[t], switchfab.LayerEject)
 				} else {
 					switches[edge].SetRoute(dst, edgeUp[edge][ta])
 				}
@@ -173,8 +129,5 @@ func BuildFatTreeOn(a Assign, nnodes int, lcfg link.Config, scfg switchfab.Confi
 			switches[coreBase+c].SetRoute(dst, coreDown[c][tp])
 		}
 	}
-	for _, sw := range switches {
-		sw.Start()
-	}
-	return n
+	return b.start()
 }

@@ -33,13 +33,13 @@ func FuzzRoute(f *testing.F) {
 		var n *Network
 		switch kind % 4 {
 		case 0:
-			n = BuildTorus(e, []int{1 + int(x)%8, 1 + int(y)%8}, lcfg(), scfg())
+			n = BuildTorus(OneEngine(e), []int{1 + int(x)%8, 1 + int(y)%8}, lcfg(), scfg())
 		case 1:
-			n = BuildTorus(e, []int{1 + int(x)%4, 1 + int(y)%4, 1 + int(z)%4}, lcfg(), scfg())
+			n = BuildTorus(OneEngine(e), []int{1 + int(x)%4, 1 + int(y)%4, 1 + int(z)%4}, lcfg(), scfg())
 		case 2:
-			n = BuildFatTree(e, 1+int(x)%40, lcfg(), scfg())
+			n = BuildFatTree(OneEngine(e), 1+int(x)%40, lcfg(), scfg())
 		default:
-			n = BuildDragonfly(e, 1+int(x)%40, z&1 == 1, lcfg(), scfg())
+			n = BuildDragonfly(OneEngine(e), 1+int(x)%40, z&1 == 1, lcfg(), scfg())
 		}
 		nn := n.NumNodes()
 		src := addrspace.NodeID(int(srcRaw) % nn)

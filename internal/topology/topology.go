@@ -1,18 +1,27 @@
 // Package topology assembles Telegraphos networks: node ports, switches,
 // and the links between them, with deterministic routing tables.
 //
-// Three builders are provided, mirroring the configurations the paper
-// discusses (Figure 1 shows workstations attached to switches that are
-// chained by ribbon cables):
+// Build turns a configuration's topology name into a fabric. The fixed
+// shapes mirror the configurations the paper discusses (Figure 1 shows
+// workstations attached to switches that are chained by ribbon cables):
 //
-//   - Pair: two nodes connected back-to-back (the §3.2 testbed);
-//   - Star: every node on one switch;
-//   - Chain: several switches in a line, k nodes per switch;
-//   - Tree: a radix-ary tree of switches, nodes at the leaves — the
+//   - pair: two nodes connected back-to-back (the §3.2 testbed);
+//   - star: every node on one switch;
+//   - chain: several switches in a line, k nodes per switch;
+//   - tree: a radix-ary tree of switches, nodes at the leaves — the
 //     natural fabric for in-network collectives at 64–1024 nodes.
 //
-// All produced topologies are cycle-free, so combined with the two
-// virtual channels of the link layer the fabric is deadlock-free.
+// The generated shapes scale past them: the torus2d and torus3d k-ary
+// n-cubes (torus.go), the k-ary fat-tree (fattree.go) and the dragonfly
+// with minimal or Valiant routing (dragonfly.go).
+//
+// The fixed shapes are cycle-free, so the two virtual channels of the
+// link layer already make them deadlock-free, and the fat-tree's
+// up*/down* routes admit no cyclic dependency. The torus and the
+// dragonfly do contain cycles; their routes break every channel
+// dependency cycle with VC escape layers (dateline crossings, global-hop
+// bumps). CheckDeadlockFree proves acyclicity for every built fabric
+// rather than assuming it.
 package topology
 
 import (
@@ -21,6 +30,7 @@ import (
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/link"
 	"telegraphos/internal/packet"
+	"telegraphos/internal/params"
 	"telegraphos/internal/sim"
 	"telegraphos/internal/switchfab"
 )
@@ -28,7 +38,6 @@ import (
 // Network is a built fabric. Node i injects packets with Send and drains
 // packets addressed to it with Recv.
 type Network struct {
-	eng      *sim.Engine
 	toNet    []*link.Link // per node: node -> fabric
 	fromNet  []*link.Link // per node: fabric -> node
 	links    []*link.Link // every distinct link in the fabric (incl. trunks)
@@ -51,45 +60,24 @@ type portPeer struct {
 	sw, port int // peer switch and port when node < 0
 }
 
-// recordNodePort notes that switch s's port p is node i's host port.
-func (n *Network) recordNodePort(i, s, p int) {
+// setPeer records pp as the far end of switch s's port p.
+func (n *Network) setPeer(s, p int, pp portPeer) {
 	for len(n.peers) <= s {
 		n.peers = append(n.peers, nil)
 	}
 	for len(n.peers[s]) <= p {
 		n.peers[s] = append(n.peers[s], portPeer{node: -1, sw: -1, port: -1})
 	}
-	n.peers[s][p] = portPeer{node: i, sw: -1, port: -1}
-	for len(n.nodeSw) <= i {
-		n.nodeSw = append(n.nodeSw, -1)
-		n.nodePort = append(n.nodePort, -1)
-	}
-	n.nodeSw[i] = s
-	n.nodePort[i] = p
-}
-
-// recordTrunk notes a bidirectional trunk between switch s1's port p1
-// and switch s2's port p2.
-func (n *Network) recordTrunk(s1, p1, s2, p2 int) {
-	for _, s := range []int{s1, s2} {
-		for len(n.peers) <= s {
-			n.peers = append(n.peers, nil)
-		}
-	}
-	for len(n.peers[s1]) <= p1 {
-		n.peers[s1] = append(n.peers[s1], portPeer{node: -1, sw: -1, port: -1})
-	}
-	for len(n.peers[s2]) <= p2 {
-		n.peers[s2] = append(n.peers[s2], portPeer{node: -1, sw: -1, port: -1})
-	}
-	n.peers[s1][p1] = portPeer{node: -1, sw: s2, port: p2}
-	n.peers[s2][p2] = portPeer{node: -1, sw: s1, port: p1}
+	n.peers[s][p] = pp
 }
 
 // NumNodes reports the number of attached nodes.
 func (n *Network) NumNodes() int { return len(n.toNet) }
 
-// Kind names the topology ("pair", "star", "chain", "tree").
+// Kind names the topology: the name Build accepts ("pair", "star",
+// "chain", "tree", "torus2d", "torus3d", "fattree", "dragonfly" or
+// "dragonfly-val"); a torus built directly over n dimensions is
+// "torus<n>d".
 func (n *Network) Kind() string { return n.kind }
 
 // Send injects pkt into the fabric at its source node. It blocks the
@@ -163,36 +151,116 @@ func (n *Network) QueuedPackets() int {
 	return total
 }
 
-// Assign maps fabric elements to engines, so a topology can be spread
-// across the shards of a sim.Group: node i's link endpoints run on
-// Node(i), switch s's forwarding pipeline on Switch(s). Links whose two
-// endpoints land on different engines become cross-shard links whose
-// propagation delay is the group's lookahead.
-type Assign struct {
-	Node   func(i int) *sim.Engine
-	Switch func(s int) *sim.Engine
+// Place maps node i to the engine its link endpoints run on, so a
+// topology can be spread across the shards of a sim.Group. Every switch
+// runs on the engine of an anchor node its builder names: the first node
+// of the subtree it serves (node 0 for a fat-tree core), clamped to the
+// last node. Links whose two endpoints land on different engines become
+// cross-shard links whose propagation delay is the group's lookahead.
+type Place func(node int) *sim.Engine
+
+// OneEngine places every node, and so every switch, on eng — the
+// classic sequential layout.
+func OneEngine(eng *sim.Engine) Place {
+	return func(int) *sim.Engine { return eng }
 }
 
-// SingleEngine places every node and switch on eng — the classic
-// sequential layout.
-func SingleEngine(eng *sim.Engine) Assign {
-	f := func(int) *sim.Engine { return eng }
-	return Assign{Node: f, Switch: f}
+// Build assembles the fabric cfg.Topology names ("" is a star) over
+// cfg.Nodes nodes, placing node i on place(i). An unknown name, or a
+// pair without exactly two nodes, is an error.
+func Build(cfg params.Config, place Place) (*Network, error) {
+	lc, sc := cfg.Link, cfg.Switch
+	switch cfg.Topology {
+	case "pair":
+		if cfg.Nodes != 2 {
+			return nil, fmt.Errorf("topology: pair requires exactly 2 nodes, got %d", cfg.Nodes)
+		}
+		return BuildPair(place, lc), nil
+	case "star", "":
+		return BuildStar(place, cfg.Nodes, lc, sc), nil
+	case "chain":
+		return BuildChain(place, cfg.Nodes, cfg.ChainPerSwitch, lc, sc), nil
+	case "tree":
+		return BuildTree(place, cfg.Nodes, cfg.TreeRadix, lc, sc), nil
+	case "torus2d":
+		return BuildTorus(place, TorusDims(cfg.Nodes, 2), lc, sc), nil
+	case "torus3d":
+		return BuildTorus(place, TorusDims(cfg.Nodes, 3), lc, sc), nil
+	case "fattree":
+		return BuildFatTree(place, cfg.Nodes, lc, sc), nil
+	case "dragonfly":
+		return BuildDragonfly(place, cfg.Nodes, false, lc, sc), nil
+	case "dragonfly-val":
+		return BuildDragonfly(place, cfg.Nodes, true, lc, sc), nil
+	}
+	return nil, fmt.Errorf("topology: unknown topology %q", cfg.Topology)
+}
+
+// builder is the state one Build* call shares while it wires a fabric.
+type builder struct {
+	n      *Network
+	place  Place
+	nnodes int
+	lcfg   link.Config
+	scfg   switchfab.Config
+}
+
+func newBuilder(kind string, place Place, nnodes int, lcfg link.Config, scfg switchfab.Config) *builder {
+	return &builder{n: &Network{kind: kind}, place: place, nnodes: nnodes, lcfg: lcfg, scfg: scfg}
+}
+
+// addSwitch creates the next switch on the engine of node anchor
+// (clamped to the last node).
+func (b *builder) addSwitch(name string, anchor int) {
+	sw := switchfab.New(b.place(min(anchor, b.nnodes-1)), name, b.scfg)
+	b.n.Switches = append(b.n.Switches, sw)
+}
+
+// host attaches node i to switch s with an injection and a delivery
+// link. Nodes must be attached in ascending order.
+func (b *builder) host(i, s int) {
+	sw := b.n.Switches[s]
+	ne, se := b.place(i), sw.Engine()
+	up := link.NewCross(ne, se, fmt.Sprintf("n%d->%s", i, sw.Name()), b.lcfg)
+	down := link.NewCross(se, ne, fmt.Sprintf("%s->n%d", sw.Name(), i), b.lcfg)
+	p := sw.AttachPort(up, down)
+	b.n.setPeer(s, p, portPeer{node: i, sw: -1, port: -1})
+	b.n.nodeSw = append(b.n.nodeSw, s)
+	b.n.nodePort = append(b.n.nodePort, p)
+	b.n.toNet = append(b.n.toNet, up)
+	b.n.fromNet = append(b.n.fromNet, down)
+	b.n.links = append(b.n.links, up, down)
+}
+
+// trunk joins switches s1 and s2 with a bidirectional trunk whose link
+// names carry suffix, and returns the port it takes on each.
+func (b *builder) trunk(s1, s2 int, suffix string) (p1, p2 int) {
+	sw1, sw2 := b.n.Switches[s1], b.n.Switches[s2]
+	fwd := link.NewCross(sw1.Engine(), sw2.Engine(), sw1.Name()+"->"+sw2.Name()+suffix, b.lcfg)
+	rev := link.NewCross(sw2.Engine(), sw1.Engine(), sw2.Name()+"->"+sw1.Name()+suffix, b.lcfg)
+	p1 = sw1.AttachPort(rev, fwd)
+	p2 = sw2.AttachPort(fwd, rev)
+	b.n.setPeer(s1, p1, portPeer{node: -1, sw: s2, port: p2})
+	b.n.setPeer(s2, p2, portPeer{node: -1, sw: s1, port: p1})
+	b.n.links = append(b.n.links, fwd, rev)
+	return p1, p2
+}
+
+// start starts every switch and returns the finished network.
+func (b *builder) start() *Network {
+	for _, sw := range b.n.Switches {
+		sw.Start()
+	}
+	return b.n
 }
 
 // BuildPair connects exactly two nodes back-to-back with one link in each
 // direction and no switch.
-func BuildPair(eng *sim.Engine, lcfg link.Config) *Network {
-	return BuildPairOn(SingleEngine(eng), lcfg)
-}
-
-// BuildPairOn is BuildPair with an explicit engine assignment.
-func BuildPairOn(a Assign, lcfg link.Config) *Network {
-	e0, e1 := a.Node(0), a.Node(1)
+func BuildPair(place Place, lcfg link.Config) *Network {
+	e0, e1 := place(0), place(1)
 	ab := link.NewCross(e0, e1, "n0->n1", lcfg)
 	ba := link.NewCross(e1, e0, "n1->n0", lcfg)
 	return &Network{
-		eng:     e0,
 		toNet:   []*link.Link{ab, ba},
 		fromNet: []*link.Link{ba, ab},
 		links:   []*link.Link{ab, ba},
@@ -201,106 +269,57 @@ func BuildPairOn(a Assign, lcfg link.Config) *Network {
 }
 
 // BuildStar attaches nnodes nodes to a single switch.
-func BuildStar(eng *sim.Engine, nnodes int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return BuildStarOn(SingleEngine(eng), nnodes, lcfg, scfg)
-}
-
-// BuildStarOn is BuildStar with an explicit engine assignment.
-func BuildStarOn(a Assign, nnodes int, lcfg link.Config, scfg switchfab.Config) *Network {
+func BuildStar(place Place, nnodes int, lcfg link.Config, scfg switchfab.Config) *Network {
 	if nnodes < 1 {
 		panic("topology: star needs at least one node")
 	}
-	swEng := a.Switch(0)
-	sw := switchfab.New(swEng, "sw0", scfg)
-	n := &Network{eng: a.Node(0), Switches: []*switchfab.Switch{sw}, kind: "star"}
+	b := newBuilder("star", place, nnodes, lcfg, scfg)
+	b.addSwitch("sw0", 0)
 	for i := 0; i < nnodes; i++ {
-		ne := a.Node(i)
-		up := link.NewCross(ne, swEng, fmt.Sprintf("n%d->sw0", i), lcfg)
-		down := link.NewCross(swEng, ne, fmt.Sprintf("sw0->n%d", i), lcfg)
-		port := sw.AttachPort(up, down)
-		sw.SetRoute(addrspace.NodeID(i), port)
-		n.recordNodePort(i, 0, port)
-		n.toNet = append(n.toNet, up)
-		n.fromNet = append(n.fromNet, down)
-		n.links = append(n.links, up, down)
+		b.host(i, 0)
+		b.n.Switches[0].SetRoute(addrspace.NodeID(i), b.n.nodePort[i])
 	}
-	sw.Start()
-	return n
+	return b.start()
 }
 
 // BuildChain places nnodes nodes on a line of switches, perSwitch nodes
 // per switch, with bidirectional trunk links between adjacent switches.
-func BuildChain(eng *sim.Engine, nnodes, perSwitch int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return BuildChainOn(SingleEngine(eng), nnodes, perSwitch, lcfg, scfg)
-}
-
-// BuildChainOn is BuildChain with an explicit engine assignment.
-func BuildChainOn(a Assign, nnodes, perSwitch int, lcfg link.Config, scfg switchfab.Config) *Network {
+func BuildChain(place Place, nnodes, perSwitch int, lcfg link.Config, scfg switchfab.Config) *Network {
 	if nnodes < 1 || perSwitch < 1 {
 		panic("topology: chain needs nodes and perSwitch >= 1")
 	}
+	b := newBuilder("chain", place, nnodes, lcfg, scfg)
 	nsw := (nnodes + perSwitch - 1) / perSwitch
-	switches := make([]*switchfab.Switch, nsw)
-	for s := range switches {
-		switches[s] = switchfab.New(a.Switch(s), fmt.Sprintf("sw%d", s), scfg)
+	for s := 0; s < nsw; s++ {
+		b.addSwitch(fmt.Sprintf("sw%d", s), s*perSwitch)
 	}
-	n := &Network{eng: a.Node(0), Switches: switches, kind: "chain"}
-
-	// Node ports.
-	nodePort := make([]int, nnodes) // port index of node i on its switch
 	for i := 0; i < nnodes; i++ {
-		s := i / perSwitch
-		ne, se := a.Node(i), a.Switch(s)
-		up := link.NewCross(ne, se, fmt.Sprintf("n%d->sw%d", i, s), lcfg)
-		down := link.NewCross(se, ne, fmt.Sprintf("sw%d->n%d", s, i), lcfg)
-		nodePort[i] = switches[s].AttachPort(up, down)
-		n.recordNodePort(i, s, nodePort[i])
-		n.toNet = append(n.toNet, up)
-		n.fromNet = append(n.fromNet, down)
-		n.links = append(n.links, up, down)
+		b.host(i, i/perSwitch)
 	}
 
 	// Trunks between adjacent switches.
 	rightPort := make([]int, nsw) // port on switch s leading to s+1
 	leftPort := make([]int, nsw)  // port on switch s leading to s-1
 	for s := 0; s < nsw-1; s++ {
-		es, es1 := a.Switch(s), a.Switch(s+1)
-		lr := link.NewCross(es, es1, fmt.Sprintf("sw%d->sw%d", s, s+1), lcfg)
-		rl := link.NewCross(es1, es, fmt.Sprintf("sw%d->sw%d", s+1, s), lcfg)
-		rightPort[s] = switches[s].AttachPort(rl, lr)
-		leftPort[s+1] = switches[s+1].AttachPort(lr, rl)
-		n.recordTrunk(s, rightPort[s], s+1, leftPort[s+1])
-		n.links = append(n.links, lr, rl)
+		rightPort[s], leftPort[s+1] = b.trunk(s, s+1, "")
 	}
 
 	// Deterministic routing: local nodes to their port, everything else
 	// down the line toward the destination's switch.
-	for s := 0; s < nsw; s++ {
+	for s, sw := range b.n.Switches {
 		for i := 0; i < nnodes; i++ {
 			dstSw := i / perSwitch
 			switch {
 			case dstSw == s:
-				switches[s].SetRoute(addrspace.NodeID(i), nodePort[i])
+				sw.SetRoute(addrspace.NodeID(i), b.n.nodePort[i])
 			case dstSw > s:
-				switches[s].SetRoute(addrspace.NodeID(i), rightPort[s])
+				sw.SetRoute(addrspace.NodeID(i), rightPort[s])
 			default:
-				switches[s].SetRoute(addrspace.NodeID(i), leftPort[s])
+				sw.SetRoute(addrspace.NodeID(i), leftPort[s])
 			}
 		}
 	}
-	for _, sw := range switches {
-		sw.Start()
-	}
-	return n
-}
-
-// BuildTree places nnodes nodes at the leaves of a radix-ary tree of
-// switches: ceil(n/radix) leaf switches with radix nodes each, then
-// levels of ceil(prev/radix) switches until a single root switch. With
-// radix 4 a 1024-node fabric is 5 switch levels deep, so collective
-// traffic crosses O(log N) hops instead of the chain's O(N).
-func BuildTree(eng *sim.Engine, nnodes, radix int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return BuildTreeOn(SingleEngine(eng), nnodes, radix, lcfg, scfg)
+	return b.start()
 }
 
 // treeLevels reports the per-level switch counts of a radix-ary tree
@@ -314,116 +333,66 @@ func treeLevels(nnodes, radix int) []int {
 	return counts
 }
 
-// TreeAnchor reports the first node covered by global switch s of a
-// radix-ary tree over nnodes nodes (level-major numbering: all leaf
-// switches first, then each upper level, root last). Shard assigners
-// use it to co-locate every switch with its subtree's first node.
-func TreeAnchor(nnodes, radix, s int) int {
-	if radix < 2 {
-		radix = 2
-	}
-	span := radix // nodes covered per switch at the current level
-	for _, cnt := range treeLevels(nnodes, radix) {
-		if s < cnt {
-			first := s * span
-			if first >= nnodes {
-				first = nnodes - 1
-			}
-			return first
-		}
-		s -= cnt
-		span *= radix
-	}
-	return 0
-}
-
-// BuildTreeOn is BuildTree with an explicit engine assignment; switch
-// engines are assigned level-major (see TreeAnchor).
-func BuildTreeOn(a Assign, nnodes, radix int, lcfg link.Config, scfg switchfab.Config) *Network {
+// BuildTree places nnodes nodes at the leaves of a radix-ary tree of
+// switches: ceil(n/radix) leaf switches with radix nodes each, then
+// levels of ceil(prev/radix) switches until a single root switch. With
+// radix 4 a 1024-node fabric is 5 switch levels deep, so collective
+// traffic crosses O(log N) hops instead of the chain's O(N). Switches
+// are numbered level-major (all leaves first, root last), and each runs
+// with the first node of its subtree.
+func BuildTree(place Place, nnodes, radix int, lcfg link.Config, scfg switchfab.Config) *Network {
 	if nnodes < 1 || radix < 2 {
 		panic("topology: tree needs nodes >= 1 and radix >= 2")
 	}
+	b := newBuilder("tree", place, nnodes, lcfg, scfg)
 	counts := treeLevels(nnodes, radix)
 	nlv := len(counts)
-
-	// Switches, level-major.
-	sws := make([][]*switchfab.Switch, nlv)
-	global := 0
+	levelBase := make([]int, nlv) // global switch index of (l, 0)
+	span := radix                 // nodes covered per switch at the current level
 	for l := 0; l < nlv; l++ {
-		sws[l] = make([]*switchfab.Switch, counts[l])
-		for i := range sws[l] {
-			sws[l][i] = switchfab.New(a.Switch(global), fmt.Sprintf("sw%d.%d", l, i), scfg)
-			global++
+		levelBase[l] = len(b.n.Switches)
+		for i := 0; i < counts[l]; i++ {
+			b.addSwitch(fmt.Sprintf("sw%d.%d", l, i), i*span)
 		}
+		span *= radix
 	}
-
-	n := &Network{eng: a.Node(0), kind: "tree"}
-	for l := 0; l < nlv; l++ {
-		n.Switches = append(n.Switches, sws[l]...)
-	}
-
-	// Node links to leaf switches.
-	nodePort := make([]int, nnodes)
 	for i := 0; i < nnodes; i++ {
-		s := i / radix
-		ne, se := a.Node(i), sws[0][s].Engine()
-		up := link.NewCross(ne, se, fmt.Sprintf("n%d->sw0.%d", i, s), lcfg)
-		down := link.NewCross(se, ne, fmt.Sprintf("sw0.%d->n%d", s, i), lcfg)
-		nodePort[i] = sws[0][s].AttachPort(up, down)
-		n.recordNodePort(i, s, nodePort[i])
-		n.toNet = append(n.toNet, up)
-		n.fromNet = append(n.fromNet, down)
-		n.links = append(n.links, up, down)
+		b.host(i, i/radix)
 	}
 
 	// Trunks: child (l, c) to parent (l+1, c/radix).
 	upPort := make([][]int, nlv)   // child's port toward its parent
 	downPort := make([][]int, nlv) // parent's port toward child c, indexed by c
-	for l := 0; l < nlv; l++ {
+	for l := 0; l < nlv-1; l++ {
 		upPort[l] = make([]int, counts[l])
 		downPort[l] = make([]int, counts[l])
-	}
-	levelBase := make([]int, nlv) // global switch index of (l, 0)
-	for l := 1; l < nlv; l++ {
-		levelBase[l] = levelBase[l-1] + counts[l-1]
-	}
-	for l := 0; l < nlv-1; l++ {
 		for c := 0; c < counts[l]; c++ {
-			p := c / radix
-			ce, pe := sws[l][c].Engine(), sws[l+1][p].Engine()
-			cp := link.NewCross(ce, pe, fmt.Sprintf("sw%d.%d->sw%d.%d", l, c, l+1, p), lcfg)
-			pc := link.NewCross(pe, ce, fmt.Sprintf("sw%d.%d->sw%d.%d", l+1, p, l, c), lcfg)
-			upPort[l][c] = sws[l][c].AttachPort(pc, cp)
-			downPort[l][c] = sws[l+1][p].AttachPort(cp, pc)
-			n.recordTrunk(levelBase[l]+c, upPort[l][c], levelBase[l+1]+p, downPort[l][c])
-			n.links = append(n.links, cp, pc)
+			upPort[l][c], downPort[l][c] = b.trunk(levelBase[l]+c, levelBase[l+1]+c/radix, "")
 		}
 	}
 
 	// Deterministic routing: down toward the child subtree that covers
 	// the destination, else up toward the root.
-	span := radix // nodes covered per switch at the current level
+	span = radix
 	for l := 0; l < nlv; l++ {
 		for s := 0; s < counts[l]; s++ {
+			sw := b.n.Switches[levelBase[l]+s]
 			lo, hi := s*span, (s+1)*span
 			for i := 0; i < nnodes; i++ {
 				switch {
 				case i >= lo && i < hi && l == 0:
-					sws[l][s].SetRoute(addrspace.NodeID(i), nodePort[i])
+					sw.SetRoute(addrspace.NodeID(i), b.n.nodePort[i])
 				case i >= lo && i < hi:
 					child := i / (span / radix)
-					sws[l][s].SetRoute(addrspace.NodeID(i), downPort[l-1][child])
+					sw.SetRoute(addrspace.NodeID(i), downPort[l-1][child])
 				default:
-					sws[l][s].SetRoute(addrspace.NodeID(i), upPort[l][s])
+					sw.SetRoute(addrspace.NodeID(i), upPort[l][s])
 				}
 			}
 		}
 		span *= radix
 	}
-	for _, sw := range n.Switches {
-		sw.Start()
-	}
-	return n
+	return b.start()
 }
 
 // SwitchTree pairs a switch with its role in one collective spanning

@@ -7,6 +7,7 @@ import (
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/link"
 	"telegraphos/internal/packet"
+	"telegraphos/internal/params"
 	"telegraphos/internal/sim"
 	"telegraphos/internal/switchfab"
 )
@@ -63,7 +64,7 @@ func runTraffic(t *testing.T, n *Network, e *sim.Engine, sends [][3]uint64) map[
 
 func TestPairDelivery(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildPair(e, lcfg())
+	n := BuildPair(OneEngine(e), lcfg())
 	if n.NumNodes() != 2 || n.Kind() != "pair" {
 		t.Fatalf("pair built wrong: %d nodes", n.NumNodes())
 	}
@@ -79,7 +80,7 @@ func TestPairDelivery(t *testing.T) {
 func TestStarDeliveryAllPairs(t *testing.T) {
 	e := sim.NewEngine(1)
 	const nn = 4
-	n := BuildStar(e, nn, lcfg(), scfg())
+	n := BuildStar(OneEngine(e), nn, lcfg(), scfg())
 	var sends [][3]uint64
 	val := uint64(100)
 	for s := 0; s < nn; s++ {
@@ -106,7 +107,7 @@ func TestStarDeliveryAllPairs(t *testing.T) {
 
 func TestStarInOrderPerPair(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildStar(e, 3, lcfg(), scfg())
+	n := BuildStar(OneEngine(e), 3, lcfg(), scfg())
 	var sends [][3]uint64
 	for i := 0; i < 50; i++ {
 		sends = append(sends, [3]uint64{0, 2, uint64(i)})
@@ -122,7 +123,7 @@ func TestStarInOrderPerPair(t *testing.T) {
 func TestChainMultiHop(t *testing.T) {
 	e := sim.NewEngine(1)
 	// 6 nodes, 2 per switch -> 3 switches; 0 and 5 are 3 switch hops apart.
-	n := BuildChain(e, 6, 2, lcfg(), scfg())
+	n := BuildChain(OneEngine(e), 6, 2, lcfg(), scfg())
 	if len(n.Switches) != 3 {
 		t.Fatalf("chain has %d switches, want 3", len(n.Switches))
 	}
@@ -147,7 +148,7 @@ func TestChainMultiHop(t *testing.T) {
 
 func TestChainInOrderAcrossHops(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildChain(e, 8, 2, lcfg(), scfg())
+	n := BuildChain(OneEngine(e), 8, 2, lcfg(), scfg())
 	var sends [][3]uint64
 	for i := 0; i < 100; i++ {
 		sends = append(sends, [3]uint64{0, 7, uint64(i)})
@@ -163,7 +164,7 @@ func TestChainInOrderAcrossHops(t *testing.T) {
 func TestChainLatencyGrowsWithHops(t *testing.T) {
 	measure := func(dst addrspace.NodeID) sim.Time {
 		e := sim.NewEngine(1)
-		n := BuildChain(e, 8, 2, lcfg(), scfg())
+		n := BuildChain(OneEngine(e), 8, 2, lcfg(), scfg())
 		var arrival sim.Time
 		e.Spawn("src", func(p *sim.Proc) {
 			n.Send(p, &packet.Packet{Type: packet.WriteReq, Src: 0, Dst: dst})
@@ -197,7 +198,7 @@ func TestSwitchRouteValidation(t *testing.T) {
 
 func TestMisrouteCounted(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildStar(e, 2, lcfg(), scfg())
+	n := BuildStar(OneEngine(e), 2, lcfg(), scfg())
 	e.Spawn("src", func(p *sim.Proc) {
 		// Node 9 does not exist; the switch should count a misroute.
 		n.Send(p, &packet.Packet{Type: packet.WriteReq, Src: 0, Dst: 9})
@@ -212,11 +213,47 @@ func TestMisrouteCounted(t *testing.T) {
 
 func TestNodeLinkAccessors(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildStar(e, 2, lcfg(), scfg())
+	n := BuildStar(OneEngine(e), 2, lcfg(), scfg())
 	if n.NodeEgress(0) == nil || n.NodeIngress(1) == nil {
 		t.Fatal("link accessors returned nil")
 	}
 	if _, ok := n.TryRecv(0, packet.VCRequest); ok {
 		t.Fatal("TryRecv on idle network returned a packet")
+	}
+}
+
+// TestBuildNames checks Build's name dispatch: every name builds the
+// fabric Kind reports, "" is a star, and an unknown name or a pair
+// without exactly two nodes is an error, not a panic.
+func TestBuildNames(t *testing.T) {
+	for _, name := range []string{"star", "chain", "tree", "torus2d", "torus3d", "fattree", "dragonfly", "dragonfly-val", ""} {
+		cfg := params.Default(8)
+		cfg.Topology = name
+		n, err := Build(cfg, OneEngine(sim.NewEngine(1)))
+		if err != nil {
+			t.Fatalf("Build(%q): %v", name, err)
+		}
+		want := name
+		if name == "" {
+			want = "star"
+		}
+		if n.Kind() != want || n.NumNodes() != 8 {
+			t.Errorf("Build(%q) = %s over %d nodes, want %s over 8", name, n.Kind(), n.NumNodes(), want)
+		}
+	}
+	cfg := params.Default(2)
+	cfg.Topology = "pair"
+	if n, err := Build(cfg, OneEngine(sim.NewEngine(1))); err != nil || n.Kind() != "pair" {
+		t.Fatalf("Build(pair, 2 nodes) = %v, %v", n, err)
+	}
+	for _, bad := range []struct {
+		topo  string
+		nodes int
+	}{{"pair", 3}, {"hypercube", 8}} {
+		cfg := params.Default(bad.nodes)
+		cfg.Topology = bad.topo
+		if _, err := Build(cfg, OneEngine(sim.NewEngine(1))); err == nil {
+			t.Errorf("Build(%q, %d nodes) returned no error", bad.topo, bad.nodes)
+		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 
 	"telegraphos/internal/addrspace"
 	"telegraphos/internal/link"
-	"telegraphos/internal/sim"
 	"telegraphos/internal/switchfab"
 )
 
@@ -60,27 +59,18 @@ func pow(b, e int) int {
 }
 
 // BuildTorus connects prod(dims) nodes as a k-ary n-cube torus with
-// dimension-order routing and dateline VC escape.
-func BuildTorus(eng *sim.Engine, dims []int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return BuildTorusOn(SingleEngine(eng), dims, lcfg, scfg)
+// dimension-order routing and dateline VC escape. Switch i serves node
+// i and runs with it.
+func BuildTorus(place Place, dims []int, lcfg link.Config, scfg switchfab.Config) *Network {
+	return buildTorus(place, dims, lcfg, scfg, true)
 }
 
-// BuildTorusOn is BuildTorus with an explicit engine assignment; switch
-// i shares a shard with node i (one node per switch).
-func BuildTorusOn(a Assign, dims []int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return buildTorus(a, dims, lcfg, scfg, true)
-}
-
-// BuildTorusNoDateline builds the same torus with the dateline escape
-// disabled — every ring hop keeps its layer, so any ring of >= 4
-// switches has a cyclic channel dependency. It exists solely as the
-// planted-cycle regression for CheckDeadlockFree and must never carry
-// real traffic.
-func BuildTorusNoDateline(eng *sim.Engine, dims []int, lcfg link.Config, scfg switchfab.Config) *Network {
-	return buildTorus(SingleEngine(eng), dims, lcfg, scfg, false)
-}
-
-func buildTorus(a Assign, dims []int, lcfg link.Config, scfg switchfab.Config, datelines bool) *Network {
+// buildTorus is BuildTorus; datelines=false disables the dateline
+// escape, so every ring hop keeps its layer and any ring of >= 4
+// switches has a cyclic channel dependency. Only the planted-cycle
+// regression for CheckDeadlockFree builds that, and it carries no
+// traffic.
+func buildTorus(place Place, dims []int, lcfg link.Config, scfg switchfab.Config, datelines bool) *Network {
 	if len(dims) < 1 {
 		panic("topology: torus needs at least one dimension")
 	}
@@ -99,24 +89,12 @@ func buildTorus(a Assign, dims []int, lcfg link.Config, scfg switchfab.Config, d
 	}
 	coordOf := func(id, d int) int { return id / stride[d] % dims[d] }
 
-	switches := make([]*switchfab.Switch, nnodes)
-	for i := range switches {
-		switches[i] = switchfab.New(a.Switch(i), fmt.Sprintf("sw%d", i), scfg)
-	}
-	n := &Network{eng: a.Node(0), Switches: switches, kind: fmt.Sprintf("torus%dd", len(dims))}
-
-	// Host ports.
-	hostPort := make([]int, nnodes)
+	b := newBuilder(fmt.Sprintf("torus%dd", len(dims)), place, nnodes, lcfg, scfg)
 	for i := 0; i < nnodes; i++ {
-		ne, se := a.Node(i), a.Switch(i)
-		up := link.NewCross(ne, se, fmt.Sprintf("n%d->sw%d", i, i), lcfg)
-		down := link.NewCross(se, ne, fmt.Sprintf("sw%d->n%d", i, i), lcfg)
-		hostPort[i] = switches[i].AttachPort(up, down)
-		n.recordNodePort(i, i, hostPort[i])
-		n.toNet = append(n.toNet, up)
-		n.fromNet = append(n.fromNet, down)
-		n.links = append(n.links, up, down)
+		b.addSwitch(fmt.Sprintf("sw%d", i), i)
+		b.host(i, i)
 	}
+	switches := b.n.Switches
 
 	// Ring ports: per dimension with k >= 2, a plus port on every switch
 	// (outgoing +1 wire, incoming -1 wire) and, when k >= 3, a minus
@@ -142,19 +120,13 @@ func buildTorus(a Assign, dims []int, lcfg link.Config, scfg switchfab.Config, d
 			if c == k-1 {
 				j = i - (k-1)*stride[d] // wrap
 			}
-			ei, ej := a.Switch(i), a.Switch(j)
-			fwd := link.NewCross(ei, ej, fmt.Sprintf("sw%d->sw%d.d%d", i, j, d), lcfg)
-			rev := link.NewCross(ej, ei, fmt.Sprintf("sw%d->sw%d.d%d", j, i, d), lcfg)
-			pi := switches[i].AttachPort(rev, fwd)
-			pj := switches[j].AttachPort(fwd, rev)
+			pi, pj := b.trunk(i, j, fmt.Sprintf(".d%d", d))
 			plusPort[d][i] = pi
 			if k == 2 {
 				plusPort[d][j] = pj
 			} else {
 				minusPort[d][j] = pj
 			}
-			n.recordTrunk(i, pi, j, pj)
-			n.links = append(n.links, fwd, rev)
 		}
 		for i := 0; i < nnodes; i++ {
 			switches[i].SetPortDim(plusPort[d][i], d)
@@ -167,7 +139,7 @@ func buildTorus(a Assign, dims []int, lcfg link.Config, scfg switchfab.Config, d
 	// Dimension-order routing with dateline escape.
 	for i := 0; i < nnodes; i++ {
 		for t := 0; t < nnodes; t++ {
-			port, act := hostPort[i], switchfab.LayerEject
+			port, act := b.n.nodePort[i], switchfab.LayerEject
 			for d, k := range dims {
 				c, tc := coordOf(i, d), coordOf(t, d)
 				if c == tc {
@@ -190,8 +162,5 @@ func buildTorus(a Assign, dims []int, lcfg link.Config, scfg switchfab.Config, d
 			switches[i].SetRouteAction(addrspace.NodeID(t), port, act)
 		}
 	}
-	for _, sw := range switches {
-		sw.Start()
-	}
-	return n
+	return b.start()
 }

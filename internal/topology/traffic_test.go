@@ -21,39 +21,26 @@ import (
 type trafficShape struct {
 	name   string
 	nnodes int
-	build  func(a Assign, lcfg link.Config) *Network
+	build  func(place Place, lcfg link.Config) *Network
 }
 
 func trafficShapes() []trafficShape {
 	return []trafficShape{
-		{"torus2d-16", 16, func(a Assign, lc link.Config) *Network {
-			return BuildTorusOn(a, []int{4, 4}, lc, scfg())
+		{"torus2d-16", 16, func(place Place, lc link.Config) *Network {
+			return BuildTorus(place, []int{4, 4}, lc, scfg())
 		}},
-		{"torus3d-24", 24, func(a Assign, lc link.Config) *Network {
-			return BuildTorusOn(a, []int{2, 3, 4}, lc, scfg())
+		{"torus3d-24", 24, func(place Place, lc link.Config) *Network {
+			return BuildTorus(place, []int{2, 3, 4}, lc, scfg())
 		}},
-		{"fattree-16", 16, func(a Assign, lc link.Config) *Network {
-			return BuildFatTreeOn(a, 16, lc, scfg())
+		{"fattree-16", 16, func(place Place, lc link.Config) *Network {
+			return BuildFatTree(place, 16, lc, scfg())
 		}},
-		{"dragonfly-16", 16, func(a Assign, lc link.Config) *Network {
-			return BuildDragonflyOn(a, 16, false, lc, scfg())
+		{"dragonfly-16", 16, func(place Place, lc link.Config) *Network {
+			return BuildDragonfly(place, 16, false, lc, scfg())
 		}},
-		{"dragonfly-val-16", 16, func(a Assign, lc link.Config) *Network {
-			return BuildDragonflyOn(a, 16, true, lc, scfg())
+		{"dragonfly-val-16", 16, func(place Place, lc link.Config) *Network {
+			return BuildDragonfly(place, 16, true, lc, scfg())
 		}},
-	}
-}
-
-// anchorOf maps each shape's global switch index to the node it should
-// share a shard with.
-func anchorOf(name string, nnodes int) func(s int) int {
-	switch name[:4] {
-	case "toru":
-		return func(s int) int { return s }
-	case "fatt":
-		return func(s int) int { return FatTreeAnchor(nnodes, s) }
-	default: // dragonfly
-		return func(s int) int { return DragonflyAnchor(nnodes, s) }
 	}
 }
 
@@ -64,14 +51,10 @@ func runPatternSharded(t *testing.T, sh trafficShape, shards int, faults *link.F
 	t.Helper()
 	g := sim.NewGroup(1, shards)
 	nn := sh.nnodes
-	anchor := anchorOf(sh.name, nn)
-	a := Assign{
-		Node:   func(i int) *sim.Engine { return g.Shard(i * shards / nn) },
-		Switch: func(s int) *sim.Engine { return g.Shard(anchor(s) * shards / nn) },
-	}
+	place := func(i int) *sim.Engine { return g.Shard(i * shards / nn) }
 	lc := lcfg()
 	lc.Faults = faults
-	n := sh.build(a, lc)
+	n := sh.build(place, lc)
 
 	perSrc := make([][][3]uint64, nn)
 	for _, s := range sends {
@@ -82,7 +65,7 @@ func runPatternSharded(t *testing.T, sh trafficShape, shards int, faults *link.F
 			continue
 		}
 		src, list := addrspace.NodeID(i), perSrc[i]
-		a.Node(i).Spawn("src", func(p *sim.Proc) {
+		place(i).Spawn("src", func(p *sim.Proc) {
 			for _, s := range list {
 				n.Send(p, &packet.Packet{Type: packet.WriteReq, Src: src, Dst: addrspace.NodeID(s[1]), Val: s[2]})
 			}

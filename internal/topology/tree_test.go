@@ -31,23 +31,28 @@ func TestTreeLevels(t *testing.T) {
 	}
 }
 
-func TestTreeAnchor(t *testing.T) {
+// TestTreePlacement checks that every tree switch runs with the first
+// node of its subtree: over a 10-shard group, one node per shard, the
+// switch's shard is that node.
+func TestTreePlacement(t *testing.T) {
 	// 10 nodes, radix 3: leaf switches at nodes 0,3,6,9; level-1 at 0,9;
 	// root at 0.
+	g := sim.NewGroup(1, 10)
+	n := BuildTree(g.Shard, 10, 3, lcfg(), scfg())
 	want := []int{0, 3, 6, 9, 0, 9, 0}
-	for s, w := range want {
-		if got := TreeAnchor(10, 3, s); got != w {
-			t.Errorf("TreeAnchor(10,3,%d) = %d, want %d", s, got, w)
-		}
+	if len(n.Switches) != len(want) {
+		t.Fatalf("switch count = %d, want %d", len(n.Switches), len(want))
 	}
-	if TreeAnchor(10, 3, 99) != 0 {
-		t.Error("out-of-range switch index should anchor at 0")
+	for s, w := range want {
+		if got := n.Switches[s].Engine().Shard(); got != w {
+			t.Errorf("switch %s on shard %d, want %d", n.Switches[s].Name(), got, w)
+		}
 	}
 }
 
 func TestTreeDelivery(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildTree(e, 10, 3, lcfg(), scfg())
+	n := BuildTree(OneEngine(e), 10, 3, lcfg(), scfg())
 	if n.Kind() != "tree" || n.NumNodes() != 10 {
 		t.Fatalf("kind=%s nodes=%d", n.Kind(), n.NumNodes())
 	}
@@ -84,7 +89,7 @@ func TestTreeDelivery(t *testing.T) {
 
 func TestSpanningTreeStar(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildStar(e, 5, lcfg(), scfg())
+	n := BuildStar(OneEngine(e), 5, lcfg(), scfg())
 	parts := []addrspace.NodeID{0, 1, 2, 3, 4}
 	trees := n.SpanningTree(0, parts)
 	if len(trees) != 1 {
@@ -106,7 +111,7 @@ func TestSpanningTreeStar(t *testing.T) {
 
 func TestSpanningTreeChain(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildChain(e, 6, 2, lcfg(), scfg())
+	n := BuildChain(OneEngine(e), 6, 2, lcfg(), scfg())
 	parts := []addrspace.NodeID{0, 1, 2, 3, 4, 5}
 	trees := n.SpanningTree(2, parts) // root on the middle switch
 	if len(trees) != 3 {
@@ -124,7 +129,7 @@ func TestSpanningTreeChain(t *testing.T) {
 
 func TestSpanningTreeSubset(t *testing.T) {
 	e := sim.NewEngine(1)
-	n := BuildTree(e, 8, 2, lcfg(), scfg())
+	n := BuildTree(OneEngine(e), 8, 2, lcfg(), scfg())
 	trees := n.SpanningTree(1, []addrspace.NodeID{1, 5, 7})
 	// Switches covering only non-participants must be omitted.
 	total := 0

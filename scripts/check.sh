@@ -115,6 +115,22 @@ go test ./internal/topology -count 1
 echo '== tglitmus torus smoke'
 go run ./cmd/tglitmus -topo -quick -tests SB,MP+fence >/dev/null
 
+# Every fuzz target must be exercised by `make fuzz`: each `func Fuzz*`
+# in a _test.go file needs a `-fuzz '^Name$$'` line for its package in
+# the Makefile's fuzz recipe.
+echo '== make fuzz lists every fuzz target'
+fuzz_recipe=$(awk '/^fuzz:/ { on = 1; next } on && !/^\t/ { on = 0 } on' Makefile)
+missing=$(git grep -o '^func Fuzz[A-Za-z0-9_]*' -- '*_test.go' | while IFS=: read -r file decl; do
+	name=${decl#func }
+	pkg=./$(dirname "$file")
+	printf '%s\n' "$fuzz_recipe" | grep -qF -- "test $pkg -fuzz '^$name\$\$'" || echo "$pkg $name"
+done)
+if [ -n "$missing" ]; then
+	echo "make fuzz: these fuzz targets have no line in the Makefile's fuzz recipe:" >&2
+	echo "$missing" >&2
+	exit 1
+fi
+
 echo '== linearizability smoke (fuzz corpora replay)'
 go test ./internal/linearize ./internal/consistency -count 1
 
