@@ -62,9 +62,6 @@ type portPeer struct {
 
 // setPeer records pp as the far end of switch s's port p.
 func (n *Network) setPeer(s, p int, pp portPeer) {
-	for len(n.peers) <= s {
-		n.peers = append(n.peers, nil)
-	}
 	for len(n.peers[s]) <= p {
 		n.peers[s] = append(n.peers[s], portPeer{node: -1, sw: -1, port: -1})
 	}
@@ -214,6 +211,7 @@ func newBuilder(kind string, place Place, nnodes int, lcfg link.Config, scfg swi
 func (b *builder) addSwitch(name string, anchor int) {
 	sw := switchfab.New(b.place(min(anchor, b.nnodes-1)), name, b.scfg)
 	b.n.Switches = append(b.n.Switches, sw)
+	b.n.peers = append(b.n.peers, nil)
 }
 
 // host attaches node i to switch s with an injection and a delivery
